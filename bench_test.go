@@ -88,7 +88,7 @@ func BenchmarkSpGEMMGustavson(b *testing.B) {
 	for i := range sources {
 		sources[i] = int32(i * (g.N / 64))
 	}
-	t, _, _ := core.MFBF(a, sources)
+	t, _, _ := core.MFBFParallel(a, sources, 1)
 	mp := algebra.MultPathMonoid()
 	b.ResetTimer()
 	var ops int64
@@ -110,7 +110,7 @@ func BenchmarkSpGEMMGustavsonParallel(b *testing.B) {
 	for i := range sources {
 		sources[i] = int32(i * (g.N / 64))
 	}
-	t, _, _ := core.MFBF(a, sources)
+	t, _, _ := core.MFBFParallel(a, sources, 1)
 	mp := algebra.MultPathMonoid()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -184,7 +184,7 @@ func BenchmarkMFBCSequentialBatch(b *testing.B) {
 	bc := make([]float64, g.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MFBCBatch(a, at, sources, bc)
+		core.MFBCBatchParallel(a, at, sources, bc, 1)
 	}
 	edges := float64(g.AdjacencyNNZ() * len(sources))
 	b.ReportMetric(float64(b.N)*edges/b.Elapsed().Seconds()/1e6, "MTEPS")

@@ -1,12 +1,16 @@
 // Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§7), plus the design-choice ablations called
-// out in DESIGN.md. Runners print the same rows/series the paper reports
-// and return them as data for tests and EXPERIMENTS.md generation.
+// of the paper's evaluation (§7), plus ablations of the design choices
+// (decomposition family, batch size, Cannon vs broadcast SpGEMM). Runners
+// print the same rows/series the paper reports and return them as data for
+// tests and for cmd/mfbc-bench's JSON output.
 //
 // Performance is reported in MTEPS/node computed from the *modeled*
 // critical-path time T = γ·flops + β·bytes + α·msgs of the simulated
-// machine (DESIGN.md §2 explains why modeled time, not host wall time,
-// carries the scaling shapes); wall time is reported alongside.
+// machine; wall time is reported alongside. Modeled time carries the
+// scaling shapes because a simulated run executes all p ranks on one
+// host's few cores: its wall time measures the host, serializing what a
+// real machine runs in parallel, while the model charges each rank's
+// critical path as the paper's cost analysis does.
 package bench
 
 import (

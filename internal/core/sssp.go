@@ -54,7 +54,7 @@ func SSSP(g *graph.Graph, sources []int32) (*SSSPResult, error) {
 		return nil, err
 	}
 	a := g.Adjacency()
-	t, _, iters := MFBF(a, sources)
+	t, _, iters := MFBFParallel(a, sources, 1)
 	res := newSSSPResult(sources, g.N)
 	res.Iterations = iters
 	for s := 0; s < t.Rows; s++ {
@@ -99,7 +99,8 @@ func SSSPDistributed(g *graph.Graph, sources []int32, opt DistOptions) (*SSSPRes
 		sess.Workers = opt.Workers
 		shard := distmat.DistShard(p)
 		aMat := distmat.FromGlobal(proc.Rank(), adjCOO, shard, trop)
-		t, iters := distMFBF(sess, pl, aMat, adjCSR, sources, shard)
+		in := sweepInput[float64]{a: aMat, adj: []*sparse.CSR[float64]{adjCSR}, pls: []planner{pl}, in: [][]bool{nil}}
+		t, iters := mfbf(sess, sweepScalar, in, sources, shard)
 		itersPer[proc.Rank()] = iters
 		full := distmat.Gather(proc.World(), t, mp)
 		if proc.Rank() == 0 {

@@ -8,9 +8,12 @@ import (
 // The paper benchmarks four SNAP graphs (Table 2). The datasets themselves
 // are multi-gigabyte downloads unavailable in this offline reproduction, so
 // we substitute degree/diameter/directedness-matched synthetic stand-ins at
-// roughly 1/400 scale (DESIGN.md §2). The features that drive the paper's
-// performance narrative — density k, diameter d (iteration count),
-// directedness, and degree skew — are matched; absolute sizes are not.
+// roughly 1/400 scale. That scale is set by the machine, not the method: a
+// simulated run hosts every rank in one process, so a stand-in must fit one
+// host and finish in seconds. Since modeled time, not wall time, carries
+// the scaling shapes, the features that drive the paper's performance
+// narrative — density k, diameter d (iteration count), directedness, and
+// degree skew — are matched; absolute sizes are not.
 
 // StandinSpec describes one stand-in and the SNAP original it models.
 type StandinSpec struct {

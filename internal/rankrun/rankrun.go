@@ -178,10 +178,23 @@ func (e *Engine) Close() error {
 	return e.d.do(op{Kind: opDrop, Name: e.name}, func() error { return nil })
 }
 
-// Shutdown ends every worker's ServeWorker loop. The mesh itself stays
-// up; close the transport separately.
+// Shutdown ends every worker's ServeWorker loop in two steps, because a
+// rank that closes its links poisons every peer still reading from them.
+// First the shutdown op is broadcast and acknowledged by every worker,
+// each of which then keeps its mesh open; only once rank 0 holds all the
+// acks does a release frame let the workers return and close. A link
+// dropping after that point is expected. Close the coordinator's
+// transport afterwards; the mesh is not reusable.
 func (d *Driver) Shutdown() error {
-	return d.do(op{Kind: opShutdown}, func() error { return nil })
+	if err := d.do(op{Kind: opShutdown}, func() error { return nil }); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	// Best effort: a worker that sees an earlier-released peer close
+	// before this frame arrives is released by that instead.
+	d.tr.OpBroadcast(nil)
+	return nil
 }
 
 // ServeWorker runs one worker rank's replication loop: receive an op,
@@ -225,7 +238,13 @@ func ServeWorker(tr *tcpnet.Transport) error {
 		case opDrop:
 			delete(engines, o.Name)
 		case opShutdown:
-			tr.AckOp(nil)
+			if err := tr.AckOp(nil); err != nil {
+				return err
+			}
+			// Hold the mesh open until the coordinator has every ack (see
+			// Driver.Shutdown): its release frame, or any link loss after
+			// it, ends the wait.
+			tr.NextOp()
 			return nil
 		default:
 			opErr = fmt.Errorf("rankrun: rank %d: unknown op kind %q", tr.Rank(), o.Kind)

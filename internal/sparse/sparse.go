@@ -2,12 +2,14 @@
 // generalized sparse matrix-matrix product C = A •⟨⊕,f⟩ B over arbitrary
 // element domains, the computational substrate of the MFBC algorithms.
 //
-// All kernels are sequential; distribution is layered on top by
-// internal/distmat and internal/spgemm.
+// Every multiply — Mul, MulParallel, and each stage product of
+// internal/spgemm — runs the one Gustavson kernel mulRowRange; distribution
+// is layered on top by internal/distmat and internal/spgemm.
 package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -207,8 +209,16 @@ func Mul[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algebra.
 // mulRowRange runs Gustavson's kernel with a sparse accumulator over rows
 // [lo, hi) of a, returning the concatenated column indices and values, the
 // per-row nonzero counts, and the number of f evaluations. It is the single
-// implementation behind both Mul and MulParallel: the parallel variant calls
-// it once per row block, which is what guarantees bit-identical output.
+// local multiply of the repository: Mul, MulParallel (once per row block)
+// and every stage product of internal/spgemm run through it.
+//
+// Fold order: the contributions to one output coordinate (i, j) fold left
+// in ascending-k order of A's row i — the first f(A(i,k), B(k,j)) seeds the
+// accumulator and each later one is added on the right. The order depends
+// only on A's row and B, never on what else the row produces, so a product
+// over pair values and the scalar product of either side alone execute the
+// same floating-point sequence per side. core's fused incremental path is
+// bit-identical to its two-region path because of this rule.
 func mulRowRange[TA, TB, TC any](a *CSR[TA], b *CSR[TB], lo, hi int, f func(TA, TB) TC, add algebra.Monoid[TC]) ([]int32, []TC, []int64, int64) {
 	var (
 		colIdx []int32
@@ -237,7 +247,7 @@ func mulRowRange[TA, TB, TC any](a *CSR[TA], b *CSR[TB], lo, hi int, f func(TA, 
 				}
 			}
 		}
-		sort.Slice(touched, func(x, y int) bool { return touched[x] < touched[y] })
+		slices.Sort(touched)
 		nnzBefore := len(colIdx)
 		for _, j := range touched {
 			if !add.IsZero(spa[j]) {

@@ -71,7 +71,7 @@ func Cannon[TA, TB, TC any](
 		// rows by the skew invariant: (i + j + round) mod q.
 		kb := (i + j + round) % q
 		k0, k1 := distmat.PartBounds(kb, k, q)
-		prod, ops := mulEntries(aBlk, bBlk, k0, k1, f, add)
+		prod, ops := mulBlocks(aBlk, bBlk, k0, k1, f, add, s.workers())
 		s.Proc.AddFlops(ops)
 		acc = distmat.MergeSorted(acc, prod, add)
 		if round == q-1 {

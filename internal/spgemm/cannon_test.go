@@ -13,25 +13,26 @@ func TestCannonMatchesSequential(t *testing.T) {
 	for _, p := range []int{1, 4, 9, 16} {
 		p := p
 		t.Run(planName(p), func(t *testing.T) {
-			cooA := randomCOO(30, 26, 0.2, int64(p))
-			cooB := randomCOO(26, 34, 0.25, int64(p)+1)
-			wantA := sparse.FromCOO(cooA, addF)
-			wantB := sparse.FromCOO(cooB, addF)
-			want, _ := sparse.Mul(wantA, wantB, mulF, addF)
-
-			mach := sim.New(p)
-			_, err := mach.Run(func(proc *machine.Proc) {
-				s := NewSession(proc)
-				a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
-				b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistShard(p), addF)
-				c := Cannon(s, a, b, mulF, addF, addF, addF)
-				got := distmat.Gather(proc.World(), c, addF)
-				if !sparse.Equal(want, got, func(x, y float64) bool { return x == y || abs(x-y) < 1e-9 }) {
-					panic("cannon result differs from sequential")
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+			cases := append([]operands{{"random", randomCOO(30, 26, 0.2, int64(p)), randomCOO(26, 34, 0.25, int64(p)+1)}},
+				operandCases(30, 26, 34, int64(p))[1:]...)
+			for _, oc := range cases {
+				t.Run(oc.name, func(t *testing.T) {
+					want, _ := sparse.Mul(sparse.FromCOO(oc.a, addF), sparse.FromCOO(oc.b, addF), mulF, addF)
+					mach := sim.New(p)
+					_, err := mach.Run(func(proc *machine.Proc) {
+						s := NewSession(proc)
+						a := distmat.FromGlobal(proc.Rank(), oc.a, distmat.DistShard(p), addF)
+						b := distmat.FromGlobal(proc.Rank(), oc.b, distmat.DistShard(p), addF)
+						c := Cannon(s, a, b, mulF, addF, addF, addF)
+						got := distmat.Gather(proc.World(), c, addF)
+						if !sparse.Equal(want, got, func(x, y float64) bool { return x == y || abs(x-y) < 1e-9 }) {
+							panic("cannon result differs from sequential")
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		})
 	}

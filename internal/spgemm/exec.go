@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -627,8 +626,14 @@ func stageBounds(t int, lo0, hi0 int32, s int) (int32, int32) {
 	return lo0 + lo, lo0 + hi
 }
 
+// bucketByStage splits sorted entries into per-stage sorted buckets. A
+// single stage shares es itself rather than copying it.
 func bucketByStage[T any](es []sparse.Entry[T], s int, stageOf func(sparse.Entry[T]) int) [][]sparse.Entry[T] {
 	out := make([][]sparse.Entry[T], s)
+	if s == 1 {
+		out[0] = es
+		return out
+	}
 	for _, e := range es {
 		t := stageOf(e)
 		out[t] = append(out[t], e)
@@ -651,7 +656,7 @@ func runAB[TA, TB, TC any](
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
 		bBlk := machine.Bcast(g.G2.Col, t%plan.P2, bStage[t])
 		kb0, kb1 := stageBounds(t, r.k0, r.k1, s)
-		prod, ops := mulEntriesParallel(aBlk, bBlk, kb0, kb1, f, add, workers)
+		prod, ops := mulBlocks(aBlk, bBlk, kb0, kb1, f, add, workers)
 		proc.AddFlops(ops)
 		acc = distmat.MergeSortedParallel(acc, prod, add, workers)
 	}
@@ -674,7 +679,7 @@ func runAC[TA, TB, TC any](
 	}
 	for t := 0; t < s; t++ {
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
-		prod, ops := mulEntriesParallel(aBlk, bE, kb0, kb1, f, add, workers)
+		prod, ops := mulBlocks(aBlk, bE, kb0, kb1, f, add, workers)
 		proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Col, t%plan.P2, prod, merge)
 		if g.G2.MyR == t%plan.P2 {
@@ -700,7 +705,7 @@ func runBC[TA, TB, TC any](
 	}
 	for t := 0; t < s; t++ {
 		bBlk := machine.Bcast(g.G2.Col, t%plan.P2, bStage[t])
-		prod, ops := mulEntriesParallel(aE, bBlk, kb0, kb1, f, add, workers)
+		prod, ops := mulBlocks(aE, bBlk, kb0, kb1, f, add, workers)
 		proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Row, t%plan.P3, prod, merge)
 		if g.G2.MyC == t%plan.P3 {
@@ -710,141 +715,61 @@ func runBC[TA, TB, TC any](
 	return acc
 }
 
-// mulEntriesMinEntries is the A-entry count below which mulEntriesParallel
-// runs sequentially (distinct from sparse.mulParallelMinRows, which gates
-// on CSR row count; here A is a coordinate list).
-const mulEntriesMinEntries = 8
-
-// mulEntriesParallel computes the same product as mulEntries with A's rows
-// blocked across workers: chunk boundaries are aligned to row breaks, each
-// worker runs the row-wise kernel on its chunk against the shared B index,
-// and the row-disjoint sorted outputs are concatenated in row order — so
-// the result is identical to the sequential kernel.
-func mulEntriesParallel[TA, TB, TC any](
+// mulBlocks multiplies two (row, col)-sorted coordinate blocks through the
+// one local kernel, sparse.MulParallel, and returns the sorted,
+// duplicate-free product with its f-evaluation count. B's rows lie in
+// [k0, k1); A entries whose column falls outside that stage range
+// contribute nothing. The CSR views compress A to its distinct rows and B's
+// columns to the block's own column range, so the kernel's accumulator is
+// sized to the block rather than to the matrix.
+func mulBlocks[TA, TB, TC any](
 	aE []sparse.Entry[TA], bE []sparse.Entry[TB], k0, k1 int32,
 	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
 ) ([]sparse.Entry[TC], int64) {
 	if len(aE) == 0 || len(bE) == 0 {
 		return nil, 0
 	}
-	if workers <= 1 || len(aE) < mulEntriesMinEntries {
-		return mulEntries(aE, bE, k0, k1, f, add)
+	var rows []int32
+	a := &sparse.CSR[TA]{
+		Cols: int(k1 - k0), RowPtr: []int64{0},
+		ColIdx: make([]int32, 0, len(aE)), Val: make([]TA, 0, len(aE)),
 	}
-	// Align the even split of aE to row boundaries (entries are row-sorted).
-	bounds := []int{0}
-	for _, r := range parallel.Ranges(len(aE), workers)[1:] {
-		cut := r[0]
-		for cut < len(aE) && cut > 0 && aE[cut].I == aE[cut-1].I {
-			cut++
-		}
-		if cut > bounds[len(bounds)-1] && cut < len(aE) {
-			bounds = append(bounds, cut)
-		}
-	}
-	bounds = append(bounds, len(aE))
-	if len(bounds) <= 2 {
-		return mulEntries(aE, bE, k0, k1, f, add)
-	}
-	offs := indexRows(bE, k0, k1)
-	chunks := make([][]sparse.Entry[TC], len(bounds)-1)
-	var ops atomic.Int64
-	parallel.For(len(chunks), len(chunks), func(part, _, _ int) {
-		out, n := mulEntriesRange(aE[bounds[part]:bounds[part+1]], bE, offs, k0, k1, f, add)
-		chunks[part] = out
-		ops.Add(n)
-	})
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]sparse.Entry[TC], 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out, ops.Load()
-}
-
-// indexRows builds the CSR-style row offsets of bE over [k0, k1).
-func indexRows[TB any](bE []sparse.Entry[TB], k0, k1 int32) []int32 {
-	nk := int(k1 - k0)
-	offs := make([]int32, nk+1)
-	for _, e := range bE {
-		offs[e.I-k0+1]++
-	}
-	for i := 0; i < nk; i++ {
-		offs[i+1] += offs[i]
-	}
-	return offs
-}
-
-// mulEntries multiplies two coordinate blocks: aE's columns and bE's rows
-// both lie in [k0, k1). Inputs are (row, col)-sorted; the output is sorted
-// and duplicate-free. Returns the entry list and the f-evaluation count.
-func mulEntries[TA, TB, TC any](
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB], k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC],
-) ([]sparse.Entry[TC], int64) {
-	if len(aE) == 0 || len(bE) == 0 {
-		return nil, 0
-	}
-	return mulEntriesRange(aE, bE, indexRows(bE, k0, k1), k0, k1, f, add)
-}
-
-// mulEntriesRange is the row-wise kernel over one contiguous chunk of A
-// entries (whole rows) against the shared B row index.
-func mulEntriesRange[TA, TB, TC any](
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC],
-) ([]sparse.Entry[TC], int64) {
-	var out []sparse.Entry[TC]
-	var ops int64
-	type jv struct {
-		j int32
-		v TC
-	}
-	var buf []jv
-	flushRow := func(i int32) {
-		if len(buf) == 0 {
-			return
-		}
-		// Stable by j so contributions at one output coordinate fold in
-		// k-order regardless of what else shares the buffer. The fused
-		// incremental path's bit-identity to per-side scalar sweeps depends
-		// on this: pair and scalar runs fill the buffer with different
-		// entry sets, and an unstable sort could permute equal-j groups
-		// differently between them.
-		sort.SliceStable(buf, func(a, b int) bool { return buf[a].j < buf[b].j })
-		cur := buf[0]
-		for _, p := range buf[1:] {
-			if p.j == cur.j {
-				cur.v = add.Op(cur.v, p.v)
-				continue
-			}
-			if !add.IsZero(cur.v) {
-				out = append(out, sparse.Entry[TC]{I: i, J: cur.j, V: cur.v})
-			}
-			cur = p
-		}
-		if !add.IsZero(cur.v) {
-			out = append(out, sparse.Entry[TC]{I: i, J: cur.j, V: cur.v})
-		}
-		buf = buf[:0]
-	}
-	row := int32(-1)
-	for _, ea := range aE {
-		if ea.I != row {
-			flushRow(row)
-			row = ea.I
-		}
-		if ea.J < k0 || ea.J >= k1 {
+	for _, e := range aE {
+		if e.J < k0 || e.J >= k1 {
 			continue
 		}
-		lo, hi := offs[ea.J-k0], offs[ea.J-k0+1]
-		for _, eb := range bE[lo:hi] {
-			buf = append(buf, jv{j: eb.J, v: f(ea.V, eb.V)})
-			ops++
+		if len(rows) == 0 || rows[len(rows)-1] != e.I {
+			rows = append(rows, e.I)
+			a.RowPtr = append(a.RowPtr, a.RowPtr[len(a.RowPtr)-1])
+		}
+		a.ColIdx = append(a.ColIdx, e.J-k0)
+		a.Val = append(a.Val, e.V)
+		a.RowPtr[len(rows)]++
+	}
+	a.Rows = len(rows)
+	j0, j1 := bE[0].J, bE[0].J
+	for _, e := range bE {
+		j0, j1 = min(j0, e.J), max(j1, e.J)
+	}
+	b := &sparse.CSR[TB]{
+		Rows: int(k1 - k0), Cols: int(j1-j0) + 1, RowPtr: make([]int64, k1-k0+1),
+		ColIdx: make([]int32, len(bE)), Val: make([]TB, len(bE)),
+	}
+	for x, e := range bE {
+		b.RowPtr[e.I-k0+1]++
+		b.ColIdx[x] = e.J - j0
+		b.Val[x] = e.V
+	}
+	for i := 0; i < b.Rows; i++ {
+		b.RowPtr[i+1] += b.RowPtr[i]
+	}
+	c, ops := sparse.MulParallel(a, b, f, add, workers)
+	out := make([]sparse.Entry[TC], 0, c.NNZ())
+	for r, i := range rows {
+		cols, vals := c.Row(r)
+		for x, j := range cols {
+			out = append(out, sparse.Entry[TC]{I: i, J: j + j0, V: vals[x]})
 		}
 	}
-	flushRow(row)
 	return out, ops
 }

@@ -14,10 +14,15 @@ import (
 // sequential local kernels: the worker knob must never change results.
 func checkPlanWorkers(t *testing.T, plan Plan, m, k, n int, seed int64, workers int) {
 	t.Helper()
-	p := plan.Procs()
-	cooA := randomCOO(m, k, 0.15, seed)
-	cooB := randomCOO(k, n, 0.2, seed+1)
+	for _, oc := range operandCases(m, k, n, seed) {
+		t.Run(oc.name, func(t *testing.T) { checkWorkersCOO(t, plan, oc.a, oc.b, workers) })
+	}
+}
 
+func checkWorkersCOO(t *testing.T, plan Plan, cooA, cooB *sparse.COO[float64], workers int) {
+	t.Helper()
+	p := plan.Procs()
+	k := cooA.Cols
 	run := func(workers int) *sparse.CSR[float64] {
 		var out *sparse.CSR[float64]
 		mach := sim.New(p)

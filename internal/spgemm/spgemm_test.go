@@ -35,9 +35,55 @@ func mulF(a, b float64) float64 { return a * b }
 // sequential kernel.
 func checkPlan(t *testing.T, plan Plan, m, k, n int, seed int64) {
 	t.Helper()
+	for _, oc := range operandCases(m, k, n, seed) {
+		t.Run(oc.name, func(t *testing.T) { checkPlanCOO(t, plan, oc.a, oc.b) })
+	}
+}
+
+// operands is one named input pair of the Multiply tables.
+type operands struct {
+	name string
+	a, b *sparse.COO[float64]
+}
+
+// operandCases are the m×k and k×n inputs every Multiply table runs:
+// random operands, plus the edge cases of the CSR views each stage product
+// hands the local kernel — A rows with no column in a stage's k-range,
+// empty B rows, and whole stages with an empty A or B block (with B's
+// columns packed into a narrow range).
+func operandCases(m, k, n int, seed int64) []operands {
+	return []operands{
+		{"random", randomCOO(m, k, 0.15, seed), randomCOO(k, n, 0.2, seed+1)},
+		{"a-rows-outside-k-range",
+			shapedCOO(m, k, func(i, j int) bool { return j*10/k == i%10 && (i+j)%2 == 0 }),
+			randomCOO(k, n, 0.2, seed+1)},
+		{"empty-b-rows",
+			randomCOO(m, k, 0.2, seed),
+			shapedCOO(k, n, func(i, j int) bool { return i%3 == 0 && (i+j)%4 == 0 })},
+		{"empty-stage-blocks",
+			shapedCOO(m, k, func(i, j int) bool { return j < k/5 && (i+j)%3 != 0 }),
+			shapedCOO(k, n, func(i, j int) bool { return i < k/4 && j >= n/2 && j < n/2+3 })},
+	}
+}
+
+// shapedCOO builds a rows×cols matrix holding (i, j) exactly when keep
+// says so, with deterministic nonzero values.
+func shapedCOO(rows, cols int, keep func(i, j int) bool) *sparse.COO[float64] {
+	coo := sparse.NewCOO[float64](rows, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if keep(i, j) {
+				coo.Append(int32(i), int32(j), 1+float64((i*7+j*3)%11)/8)
+			}
+		}
+	}
+	return coo
+}
+
+func checkPlanCOO(t *testing.T, plan Plan, cooA, cooB *sparse.COO[float64]) {
+	t.Helper()
 	p := plan.Procs()
-	cooA := randomCOO(m, k, 0.15, seed)
-	cooB := randomCOO(k, n, 0.2, seed+1)
+	k := cooA.Cols
 	wantA := sparse.FromCOO(cooA, addF)
 	wantB := sparse.FromCOO(cooB, addF)
 	want, _ := sparse.Mul(wantA, wantB, mulF, addF)
