@@ -90,6 +90,7 @@ func BenchmarkSpGEMMGustavson(b *testing.B) {
 	}
 	t, _, _ := core.MFBFParallel(a, sources, 1)
 	mp := algebra.MultPathMonoid()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var ops int64
 	for i := 0; i < b.N; i++ {
@@ -114,6 +115,7 @@ func BenchmarkSpGEMMGustavsonParallel(b *testing.B) {
 	mp := algebra.MultPathMonoid()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sparse.MulParallel(t, a, algebra.BFAction, mp, w)
 			}
@@ -152,7 +154,8 @@ func BenchmarkMFBCWorkers(b *testing.B) {
 
 // BenchmarkMFBCEndToEndWorkers runs the same comparison through the public
 // API on the simulated machine (one rank), so the distributed plumbing —
-// redistribution, entry-list kernels, merges — is included.
+// redistribution, stage-block views of the local kernel, merges — is
+// included.
 func BenchmarkMFBCEndToEndWorkers(b *testing.B) {
 	g := graph.RMAT(graph.DefaultRMAT(13, 8, 4))
 	sources := make([]int32, 128)
@@ -182,6 +185,7 @@ func BenchmarkMFBCSequentialBatch(b *testing.B) {
 		sources[i] = int32(i * (g.N / 32))
 	}
 	bc := make([]float64, g.N)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.MFBCBatchParallel(a, at, sources, bc, 1)

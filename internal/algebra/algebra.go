@@ -139,7 +139,7 @@ func TropicalMonoid() Monoid[Weight] {
 	}
 }
 
-// CountPlus is ordinary addition on float64 path counts with zero-identity,
+// CountMonoid is ordinary addition on float64 path counts with zero-identity,
 // the monoid used by the CombBLAS-style BFS baseline.
 func CountMonoid() Monoid[float64] {
 	return Monoid[float64]{

@@ -100,6 +100,8 @@ func dropDiagonal[T any](m *sparse.CSR[T], sources []int32) *sparse.CSR[T] {
 // multiplicities forward).
 func screenFrontier(ext, t *sparse.CSR[algebra.MultPath]) *sparse.CSR[algebra.MultPath] {
 	out := &sparse.CSR[algebra.MultPath]{Rows: ext.Rows, Cols: ext.Cols, RowPtr: make([]int64, ext.Rows+1)}
+	out.ColIdx = make([]int32, 0, ext.NNZ())
+	out.Val = make([]algebra.MultPath, 0, ext.NNZ())
 	for i := 0; i < ext.Rows; i++ {
 		ec, ev := ext.Row(i)
 		tc, tv := t.Row(i)
@@ -124,6 +126,8 @@ func screenFrontier(ext, t *sparse.CSR[algebra.MultPath]) *sparse.CSR[algebra.Mu
 // (including contributions at pairs absent from T).
 func screenCent(p *sparse.CSR[algebra.CentPath], t *sparse.CSR[algebra.MultPath]) *sparse.CSR[algebra.CentPath] {
 	out := &sparse.CSR[algebra.CentPath]{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]int64, p.Rows+1)}
+	out.ColIdx = make([]int32, 0, p.NNZ())
+	out.Val = make([]algebra.CentPath, 0, p.NNZ())
 	for i := 0; i < p.Rows; i++ {
 		pc, pv := p.Row(i)
 		tc, tv := t.Row(i)
@@ -157,17 +161,7 @@ func screenCent(p *sparse.CSR[algebra.CentPath], t *sparse.CSR[algebra.MultPath]
 // workers; the output is identical for every worker count.
 func MFBrParallel(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sources []int32, workers int) (*sparse.CSR[algebra.CentPath], int64, int) {
 	cp := algebra.CentPathMonoid()
-
-	// Child counting: one generalized product of the T pattern with Aᵀ.
-	z0 := sparse.Map(t, cp, func(_, _ int32, v algebra.MultPath) algebra.CentPath {
-		return algebra.CentPath{W: v.W, P: 0, C: 1}
-	})
-	counts, ops := sparse.MulParallel(z0, at, algebra.BrandesAction, cp, workers)
-	counts = screenCent(counts, t)
-
-	// Z holds every T coordinate with its child counter; leaves (counter 0)
-	// seed the frontier with (T.w, 1/σ̄, −1).
-	z := buildZ(t, counts)
+	z, ops := initZ(at, t, workers)
 	frontier := collectFrontier(z, t)
 
 	iters := 0
@@ -178,11 +172,22 @@ func MFBrParallel(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sour
 		}
 		p, o := sparse.MulParallel(frontier, at, algebra.BrandesAction, cp, workers)
 		ops += o
-		p = screenCent(p, t)
-		z = sparse.EWise(z, p, cp)
+		foldZ(z, screenCent(p, t), cp)
 		frontier = collectFrontier(z, t)
 	}
 	return z, ops, iters
+}
+
+// initZ returns Z, which holds every T coordinate with its child counter,
+// and the op count of the child-counting product of the T pattern with Aᵀ.
+// Leaves (counter 0) seed MFBr's first frontier with (T.w, 1/σ̄, −1).
+func initZ(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], workers int) (*sparse.CSR[algebra.CentPath], int64) {
+	cp := algebra.CentPathMonoid()
+	z0 := sparse.Map(t, cp, func(_, _ int32, v algebra.MultPath) algebra.CentPath {
+		return algebra.CentPath{W: v.W, P: 0, C: 1}
+	})
+	counts, ops := sparse.MulParallel(z0, at, algebra.BrandesAction, cp, workers)
+	return buildZ(t, screenCent(counts, t)), ops
 }
 
 // buildZ merges the T pattern with the screened child counts.
@@ -208,6 +213,33 @@ func buildZ(t *sparse.CSR[algebra.MultPath], counts *sparse.CSR[algebra.CentPath
 		out.RowPtr[i+1] = int64(len(out.ColIdx))
 	}
 	return out
+}
+
+// foldZ folds the screened product p into Z in place:
+// Z(s,v) ← Z(s,v) ⊗ p(s,v) at every coordinate of p. screenCent keeps only
+// coordinates of T, and Z's pattern is T's (buildZ), so p's pattern is a
+// subset of Z's and the union merge sparse.EWise(z, p, cp) would return
+// Z's pattern unchanged: both operands carry T's finite weight, so no
+// folded value is the monoid zero. A coordinate of p outside Z's pattern
+// breaks that invariant and panics.
+func foldZ(z, p *sparse.CSR[algebra.CentPath], cp algebra.Monoid[algebra.CentPath]) {
+	if z.Rows != p.Rows || z.Cols != p.Cols {
+		panic(fmt.Sprintf("core: MFBr fold shape mismatch: Z %dx%d, product %dx%d", z.Rows, z.Cols, p.Rows, p.Cols))
+	}
+	for i := 0; i < p.Rows; i++ {
+		pc, pv := p.Row(i)
+		zc, zv := z.Row(i)
+		y := 0
+		for x, j := range pc {
+			for y < len(zc) && zc[y] < j {
+				y++
+			}
+			if y == len(zc) || zc[y] != j {
+				panic(fmt.Sprintf("core: MFBr fold: product entry (%d,%d) lies outside Z's pattern", i, j))
+			}
+			zv[y] = cp.Op(zv[y], pv[x])
+		}
+	}
 }
 
 // collectFrontier extracts the entries of Z whose counter just reached zero

@@ -3,10 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/baseline"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 func almostEqual(a, b float64) bool {
@@ -263,5 +266,75 @@ func TestCombBLASStyleOracle(t *testing.T) {
 	}
 	if _, err := baseline.CombBLASStyle(&graph.Graph{N: 2, Weighted: true, Edges: []graph.Edge{{U: 0, V: 1, W: 2}}}, 0); err == nil {
 		t.Fatal("combblas-style must reject weighted graphs")
+	}
+}
+
+func sameCentPath(x, y algebra.CentPath) bool {
+	return math.Float64bits(x.W) == math.Float64bits(y.W) && math.Float64bits(x.P) == math.Float64bits(y.P) && x.C == y.C
+}
+
+// TestFoldZMatchesEWise replays MFBr's back-propagation on R-MAT batches
+// and checks every in-place fold of a screened product into Z against the
+// union merge sparse.EWise(z, p, cp), bit for bit.
+func TestFoldZMatchesEWise(t *testing.T) {
+	cp := algebra.CentPathMonoid()
+	weighted := graph.RMAT(graph.DefaultRMAT(7, 8, 5))
+	weighted.AddUniformWeights(1, 100, 7)
+	dopt := graph.DefaultRMAT(7, 6, 9)
+	dopt.Directed = true
+	directed := graph.RMAT(dopt)
+	directed.AddUniformWeights(1, 100, 11)
+	folds := 0
+	for _, g := range []*graph.Graph{graph.RMAT(graph.DefaultRMAT(7, 8, 3)), weighted, directed} {
+		a := g.Adjacency()
+		at := sparse.Transpose(a)
+		for lo := 0; lo < g.N; lo += 32 {
+			var sources []int32
+			for s := lo; s < min(lo+32, g.N); s++ {
+				sources = append(sources, int32(s))
+			}
+			tm, _, _ := MFBFParallel(a, sources, 1)
+			z, _ := initZ(at, tm, 1)
+			for frontier := collectFrontier(z, tm); frontier.NNZ() > 0; frontier = collectFrontier(z, tm) {
+				p, _ := sparse.MulParallel(frontier, at, algebra.BrandesAction, cp, 1)
+				p = screenCent(p, tm)
+				want := sparse.EWise(z, p, cp)
+				foldZ(z, p, cp)
+				if !sparse.Equal(z, want, sameCentPath) {
+					t.Fatalf("%s (weighted=%v, directed=%v), sources from %d: in-place fold differs from EWise",
+						g.Name, g.Weighted, g.Directed, lo)
+				}
+				folds++
+			}
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no fold was exercised")
+	}
+}
+
+// TestFoldZPanicsOutsidePattern: a product coordinate missing from Z
+// breaks MFBr's subset invariant and must panic with a message, whether it
+// falls between Z's columns or past a row's last one.
+func TestFoldZPanicsOutsidePattern(t *testing.T) {
+	cp := algebra.CentPathMonoid()
+	zcoo := sparse.NewCOO[algebra.CentPath](2, 6)
+	zcoo.Append(0, 1, algebra.CentPath{W: 1, C: 1})
+	zcoo.Append(0, 4, algebra.CentPath{W: 2, C: 1})
+	zcoo.Append(1, 2, algebra.CentPath{W: 1, C: 1})
+	for _, at := range [][2]int32{{0, 3}, {1, 5}, {1, 0}} {
+		pcoo := sparse.NewCOO[algebra.CentPath](2, 6)
+		pcoo.Append(0, 1, algebra.CentPath{W: 1, P: 0.5, C: -1})
+		pcoo.Append(at[0], at[1], algebra.CentPath{W: 1, P: 0.5, C: -1})
+		z, p := sparse.FromCOO(zcoo, cp), sparse.FromCOO(pcoo, cp)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "outside Z's pattern") {
+					t.Fatalf("product entry %v outside Z: recovered %q, want a subset-invariant panic", at, msg)
+				}
+			}()
+			foldZ(z, p, cp)
+		}()
 	}
 }

@@ -123,13 +123,7 @@ func (a *CSR[T]) Get(i, j int32) (T, bool) {
 func FromCOO[T any](a *COO[T], m algebra.Monoid[T]) *CSR[T] {
 	c := a.Clone()
 	c.Canonicalize(m)
-	out := &CSR[T]{
-		Rows:   c.Rows,
-		Cols:   c.Cols,
-		RowPtr: make([]int64, c.Rows+1),
-		ColIdx: make([]int32, 0, len(c.E)),
-		Val:    make([]T, 0, len(c.E)),
-	}
+	out := newCSRCap[T](c.Rows, c.Cols, len(c.E))
 	for _, e := range c.E {
 		out.RowPtr[e.I+1]++
 	}
@@ -206,11 +200,23 @@ func Mul[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algebra.
 	return out, ops
 }
 
+// denseRowDivisor sets mulRowRange's row emission rule. Sorting t touched
+// columns costs about t·log₂t comparisons, a scan of the occupancy marks
+// b.Cols sequential reads, and the two meet near t = b.Cols/8 for
+// accumulators of a few hundred to a few thousand columns (t·log₂t = b.Cols
+// exactly at t = b.Cols/8 when b.Cols = 2048). MFBC's frontier rows over
+// R-MAT graphs mostly sit far above it.
+const denseRowDivisor = 8
+
 // mulRowRange runs Gustavson's kernel with a sparse accumulator over rows
 // [lo, hi) of a, returning the concatenated column indices and values, the
 // per-row nonzero counts, and the number of f evaluations. It is the single
 // local multiply of the repository: Mul, MulParallel (once per row block)
 // and every stage product of internal/spgemm run through it.
+//
+// A symbolic pass first bounds each output row by min(Σ_k |B(k,:)|,
+// b.Cols) over the k of A's row, so the output slices are allocated once
+// and never grow.
 //
 // Fold order: the contributions to one output coordinate (i, j) fold left
 // in ascending-k order of A's row i — the first f(A(i,k), B(k,j)) seeds the
@@ -218,16 +224,28 @@ func Mul[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algebra.
 // only on A's row and B, never on what else the row produces, so a product
 // over pair values and the scalar product of either side alone execute the
 // same floating-point sequence per side. core's fused incremental path is
-// bit-identical to its two-region path because of this rule.
+// bit-identical to its two-region path because of this rule. How a row is
+// emitted does not touch it: a row that touched more than
+// b.Cols/denseRowDivisor columns lists them by a scan of the occupancy
+// marks in column order, any other row by sorting them, and both emit the
+// same ascending columns with the same folded values.
 func mulRowRange[TA, TB, TC any](a *CSR[TA], b *CSR[TB], lo, hi int, f func(TA, TB) TC, add algebra.Monoid[TC]) ([]int32, []TC, []int64, int64) {
-	var (
-		colIdx []int32
-		val    []TC
-	)
+	bound := 0
+	for i := lo; i < hi; i++ {
+		acols, _ := a.Row(i)
+		row := int64(0)
+		for _, k := range acols {
+			row += b.RowPtr[k+1] - b.RowPtr[k]
+		}
+		bound += int(min(row, int64(b.Cols)))
+	}
+	colIdx := make([]int32, 0, bound)
+	val := make([]TC, 0, bound)
 	rowNNZ := make([]int64, hi-lo)
 	spa := make([]TC, b.Cols)
 	occupied := make([]bool, b.Cols)
 	var touched []int32
+	dense := b.Cols / denseRowDivisor
 	var ops int64
 	for i := lo; i < hi; i++ {
 		acols, avals := a.Row(i)
@@ -247,7 +265,16 @@ func mulRowRange[TA, TB, TC any](a *CSR[TA], b *CSR[TB], lo, hi int, f func(TA, 
 				}
 			}
 		}
-		slices.Sort(touched)
+		if len(touched) > dense {
+			touched = touched[:0]
+			for j, on := range occupied {
+				if on {
+					touched = append(touched, int32(j))
+				}
+			}
+		} else {
+			slices.Sort(touched)
+		}
 		nnzBefore := len(colIdx)
 		for _, j := range touched {
 			if !add.IsZero(spa[j]) {
@@ -277,6 +304,19 @@ func MulRef[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algeb
 	return FromCOO(acc, add)
 }
 
+// newCSRCap returns an empty rows×cols matrix whose column and value
+// slices have room for nnz entries, so a builder that appends at most nnz
+// entries allocates them once.
+func newCSRCap[T any](rows, cols, nnz int) *CSR[T] {
+	return &CSR[T]{
+		Rows:   rows,
+		Cols:   cols,
+		RowPtr: make([]int64, rows+1),
+		ColIdx: make([]int32, 0, nnz),
+		Val:    make([]T, 0, nnz),
+	}
+}
+
 // EWise merges two same-shaped matrices elementwise with the monoid
 // operation (a union merge: entries present in only one operand pass
 // through).
@@ -284,7 +324,7 @@ func EWise[T any](a, b *CSR[T], m algebra.Monoid[T]) *CSR[T] {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("sparse: ewise shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := &CSR[T]{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
+	out := newCSRCap[T](a.Rows, a.Cols, a.NNZ()+b.NNZ())
 	for i := 0; i < a.Rows; i++ {
 		ac, av := a.Row(i)
 		bc, bv := b.Row(i)
@@ -317,7 +357,7 @@ func EWise[T any](a, b *CSR[T], m algebra.Monoid[T]) *CSR[T] {
 
 // Filter returns the entries of a for which keep returns true.
 func Filter[T any](a *CSR[T], keep func(i, j int32, v T) bool) *CSR[T] {
-	out := &CSR[T]{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
+	out := newCSRCap[T](a.Rows, a.Cols, a.NNZ())
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
 		for k, j := range cols {
@@ -331,10 +371,10 @@ func Filter[T any](a *CSR[T], keep func(i, j int32, v T) bool) *CSR[T] {
 	return out
 }
 
-// Map transforms every entry of a in place-like fashion, returning a new
-// matrix; entries mapped to monoid zero are dropped.
+// Map returns a new matrix holding fn of every entry of a, which it leaves
+// unchanged; entries mapped to monoid zero are dropped.
 func Map[T, U any](a *CSR[T], m algebra.Monoid[U], fn func(i, j int32, v T) U) *CSR[U] {
-	out := &CSR[U]{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
+	out := newCSRCap[U](a.Rows, a.Cols, a.NNZ())
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
 		for k, j := range cols {
@@ -356,7 +396,7 @@ func Mask[T, U any](a *CSR[T], m *CSR[U], keep bool) *CSR[T] {
 	if a.Rows != m.Rows || a.Cols != m.Cols {
 		panic(fmt.Sprintf("sparse: mask shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, m.Rows, m.Cols))
 	}
-	out := &CSR[T]{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
+	out := newCSRCap[T](a.Rows, a.Cols, a.NNZ())
 	for i := 0; i < a.Rows; i++ {
 		ac, av := a.Row(i)
 		mc, _ := m.Row(i)

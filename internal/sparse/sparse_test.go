@@ -74,17 +74,59 @@ func TestTransposeInvolution(t *testing.T) {
 }
 
 // TestMulMatchesReference is the property test: Gustavson with SPA must
-// agree with the triple-loop reference on random inputs.
+// agree with the triple-loop reference on random inputs, through both of
+// mulRowRange's row emissions and at the row fill that separates them.
 func TestMulMatchesReference(t *testing.T) {
-	check := func(seedA, seedB uint16) bool {
-		a := randomCSR(13, 11, 40, int64(seedA))
-		b := randomCSR(11, 17, 50, int64(seedB))
+	agree := func(a, b *CSR[float64]) bool {
 		got, _ := Mul(a, b, mulF, addF)
 		want := MulRef(a, b, mulF, addF)
 		return Equal(got, want, func(x, y float64) bool { return x == y })
 	}
+	check := func(seedA, seedB uint16) bool {
+		// 13×11 · 11×17: nearly every output row touches more than
+		// b.Cols/denseRowDivisor columns and is emitted by the scan.
+		if !agree(randomCSR(13, 11, 40, int64(seedA)), randomCSR(11, 17, 50, int64(seedB))) {
+			return false
+		}
+		// 13×200 · 200×400 at low fill: output rows touch a few columns
+		// each and are emitted by sorting them.
+		return agree(randomCSR(13, 200, 60, int64(seedA)), randomCSR(200, 400, 300, int64(seedB)))
+	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+
+	// B's row 0 holds exactly b.Cols/denseRowDivisor columns (the sort
+	// branch's largest row), row 1 one more (the scan's smallest), and
+	// the rows share columns where their values cancel. A's rows take
+	// row 0, row 1, both (a row with cancelled zeros to drop), then row 0
+	// again, which reads stale occupancy marks if a branch failed to clear
+	// them.
+	const cols = 400
+	threshold := cols / denseRowDivisor
+	bcoo := NewCOO[float64](2, cols)
+	for x := 0; x < threshold; x++ {
+		bcoo.Append(0, int32(x*7%cols), float64(1+x%9))
+	}
+	for x := 0; x <= threshold; x++ {
+		v := float64(2 + x%5)
+		if x%3 == 0 {
+			v = -float64(1 + x%9) // cancels B(0, x*7%cols)
+		}
+		bcoo.Append(1, int32(x*7%cols), v)
+	}
+	acoo := NewCOO[float64](4, 2)
+	acoo.Append(0, 0, 1)
+	acoo.Append(1, 1, 3)
+	acoo.Append(2, 0, 1)
+	acoo.Append(2, 1, 1)
+	acoo.Append(3, 0, 5)
+	a, b := FromCOO(acoo, addF), FromCOO(bcoo, addF)
+	if row0, _ := b.Row(0); len(row0) != threshold {
+		t.Fatalf("B row 0 has %d columns, want the threshold %d", len(row0), threshold)
+	}
+	if !agree(a, b) {
+		t.Fatal("rows at and just past the emission threshold disagree with MulRef")
 	}
 }
 
