@@ -41,11 +41,11 @@ bench:
 load-quick:
 	$(GO) run ./cmd/mfbc-load -quick -json BENCH_load_quick.json
 
-## load-async: the BENCH_load.json workload with the async ingestion
-## pipeline on, gated against the committed synchronous knee (the CI
-## regression check for write-ahead-queue throughput).
+## load-async: the BENCH_load.json workload with enqueued-durability
+## acks, gated against the committed knee (the CI regression check for
+## write-ahead-queue throughput).
 load-async:
-	$(GO) run ./cmd/mfbc-load -mode sweep -ingest -ingest-durability enqueued \
+	$(GO) run ./cmd/mfbc-load -mode sweep -ingest-durability enqueued \
 		-graphs hot=grid:8x8x5,warm=uniform:48x160 \
 		-cohorts readers=topk:4,writers=mutate:1 \
 		-rates 120,360,720,1080,2160,4320,8640,17280,34560 \

@@ -121,10 +121,10 @@ func TestQuickSweepEmitsJSON(t *testing.T) {
 	}
 }
 
-// TestIngestSweepAndBaselineGate drives the async-ingestion CI entry
-// point: the "ingest" cohort alias, the -ingest in-process pipeline, and
-// the -baseline knee-regression gate in both its passing and failing
-// directions.
+// TestIngestSweepAndBaselineGate drives the ingestion CI entry point: the
+// "ingest" cohort alias against the in-process server's group-commit
+// write path, and the -baseline knee-regression gate in both its passing
+// and failing directions.
 func TestIngestSweepAndBaselineGate(t *testing.T) {
 	cohorts, err := parseCohorts("ingest", 1.5)
 	if err != nil {
@@ -152,7 +152,7 @@ func TestIngestSweepAndBaselineGate(t *testing.T) {
 	}
 
 	cfg, err := parseFlags([]string{
-		"-mode", "sweep", "-cohorts", "ingest", "-ingest",
+		"-mode", "sweep", "-cohorts", "ingest",
 		"-graphs", "g=grid:6x6x5", "-rates", "30,60",
 		"-step-duration", "400ms", "-window", "200ms",
 		"-json", jsonPath, "-baseline", writeBase("base_low.json", 25),
@@ -201,15 +201,7 @@ func TestIngestSweepAndBaselineGate(t *testing.T) {
 		t.Fatalf("baseline without a knee row must be rejected, got %v", err)
 	}
 
-	// -ingest configures the embedded server only.
-	live, err := parseFlags([]string{"-addr", "http://127.0.0.1:1", "-ingest"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run(live, &out); err == nil || !strings.Contains(err.Error(), "-ingest") {
-		t.Fatalf("live-server -ingest must be rejected, got %v", err)
-	}
-	bad, err := parseFlags([]string{"-ingest", "-ingest-durability", "eventually"})
+	bad, err := parseFlags([]string{"-ingest-durability", "eventually"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,7 @@ func main() {
 	dynRefresh := flag.Int("dyn-refresh", 0, "exact-refresh cadence of sampled mode: every Nth PATCH recomputes exactly (0 = library default 8)")
 	logCompact := flag.Int("log-compact", 0, "mutation-log bound per graph before automatic compaction/truncation (0 = default 4096, negative = unmanaged)")
 	logTruncate := flag.Bool("log-truncate", false, "past the log bound, snapshot the graph as the new replay base and truncate the log instead of compacting it")
-	ingestQueue := flag.Bool("ingest-queue", false, "async mutation ingestion: PATCH batches land in a per-graph write-ahead queue and a background applier coalesces the backlog into group-commit applies")
-	ingestDurability := flag.String("ingest-durability", "applied", "default PATCH acknowledgment level with -ingest-queue: 'applied' (block until the group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
+	ingestDurability := flag.String("ingest-durability", "applied", "default PATCH acknowledgment level: 'applied' (block until the batch's group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
 	ingestMaxDepth := flag.Int("ingest-max-depth", 256, "pending-batch bound per graph queue; beyond it PATCHes shed with 429 + Retry-After (negative = unbounded)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "max time to read a request's headers (slowloris guard)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "max time to read a full request including the body")
@@ -104,7 +103,7 @@ func main() {
 		dynProcs: *dynProcs, dynCacheSets: *dynCacheSets,
 		dynSamples: *dynSamples, dynRefresh: *dynRefresh,
 		logCompact: *logCompact, logTruncate: *logTruncate,
-		ingestQueue: *ingestQueue, ingestDurability: *ingestDurability, ingestMaxDepth: *ingestMaxDepth,
+		ingestDurability: *ingestDurability, ingestMaxDepth: *ingestMaxDepth,
 		transport: *transport, peers: *peersFlag, rendezvous: *rendezvous,
 		traceBuf: *traceBuf, traceSample: *traceSample,
 		slowQuery: *slowQuery, logger: logger,
@@ -241,7 +240,6 @@ type serveConfig struct {
 	dynSamples, dynRefresh int
 	logCompact             int
 	logTruncate            bool
-	ingestQueue            bool
 	ingestDurability       string
 	ingestMaxDepth         int
 	transport, peers       string
@@ -288,7 +286,7 @@ func buildServer(cfg serveConfig, preload string) (*server.Server, func(), error
 		DynProcs: cfg.dynProcs, DynCacheSets: cfg.dynCacheSets,
 		DynSampleBudget: cfg.dynSamples, DynRefreshEvery: cfg.dynRefresh,
 		LogCompactAt: cfg.logCompact, LogTruncate: cfg.logTruncate,
-		IngestQueue: cfg.ingestQueue, IngestDurability: cfg.ingestDurability, IngestMaxDepth: cfg.ingestMaxDepth,
+		IngestDurability: cfg.ingestDurability, IngestMaxDepth: cfg.ingestMaxDepth,
 		Metrics: reg, Tracer: tracer, Logger: cfg.logger, SlowQuery: cfg.slowQuery,
 	}
 	cleanup := func() {}

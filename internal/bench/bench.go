@@ -129,8 +129,8 @@ type Point struct {
 	ServerP50MS    float64 `json:"server_p50_ms,omitempty"`
 	ServerP95MS    float64 `json:"server_p95_ms,omitempty"`
 	ServerP99MS    float64 `json:"server_p99_ms,omitempty"`
-	// Async-ingestion fields (load rows against a server running the
-	// write-ahead mutation queue): the percentile spread of per-request
+	// Ingestion fields (load rows with mutate traffic against a server
+	// built from this repo): the percentile spread of per-request
 	// queue wait (time a PATCH batch sat queued before its group commit,
 	// separating queue time from apply time) and the /stats deltas of the
 	// pipeline's counters over the step.

@@ -1,5 +1,5 @@
 // Write-ahead ingestion queue: the concurrency primitive behind the
-// server's async mutation pipeline. A Queue collects mutation batches
+// server's mutation write path. A Queue collects mutation batches
 // from many producers; a single drainer (elected by the queue itself via
 // the startDrain handoff) takes the whole backlog at once, coalesces it,
 // and group-commits through the engine, so N queued writers pay ~one
@@ -34,6 +34,10 @@ var (
 type Pending[R any] struct {
 	Muts       []graph.Mutation
 	EnqueuedAt time.Time
+	// Ctx is the context of the producer that waits for the batch, nil
+	// when none waits. The drainer reads only its values (the server hangs
+	// the commit's trace spans on it), never its cancellation.
+	Ctx context.Context
 
 	done chan struct{}
 	res  R
@@ -83,10 +87,11 @@ func NewQueue[R any](maxDepth int) *Queue[R] {
 	return &Queue[R]{maxDepth: maxDepth}
 }
 
-// Enqueue appends a batch. depth is the queue depth including the new
-// batch; startDrain is true iff the caller must spawn the drainer (no
-// drainer currently holds duty).
-func (q *Queue[R]) Enqueue(muts []graph.Mutation, now time.Time) (p *Pending[R], depth int, startDrain bool, err error) {
+// Enqueue appends a batch, recording ctx (nil when no producer waits) on
+// its Pending. depth is the queue depth including the new batch;
+// startDrain is true iff the caller must spawn the drainer (no drainer
+// currently holds duty).
+func (q *Queue[R]) Enqueue(ctx context.Context, muts []graph.Mutation, now time.Time) (p *Pending[R], depth int, startDrain bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -95,7 +100,7 @@ func (q *Queue[R]) Enqueue(muts []graph.Mutation, now time.Time) (p *Pending[R],
 	if q.maxDepth > 0 && len(q.pending) >= q.maxDepth {
 		return nil, len(q.pending), false, ErrQueueFull
 	}
-	p = &Pending[R]{Muts: muts, EnqueuedAt: now, done: make(chan struct{})}
+	p = &Pending[R]{Muts: muts, EnqueuedAt: now, Ctx: ctx, done: make(chan struct{})}
 	q.pending = append(q.pending, p)
 	startDrain = !q.draining
 	q.draining = true

@@ -22,11 +22,11 @@ func TestQueueDrainHandoff(t *testing.T) {
 	q := NewQueue[int](0)
 	now := time.Now()
 
-	p1, depth, start, err := q.Enqueue(batch(1), now)
+	p1, depth, start, err := q.Enqueue(context.Background(), batch(1), now)
 	if err != nil || depth != 1 || !start {
 		t.Fatalf("first enqueue: depth=%d start=%v err=%v, want 1 true nil", depth, start, err)
 	}
-	_, depth, start, err = q.Enqueue(batch(2), now)
+	_, depth, start, err = q.Enqueue(context.Background(), batch(2), now)
 	if err != nil || depth != 2 || start {
 		t.Fatalf("second enqueue: depth=%d start=%v err=%v, want 2 false nil (drainer already elected)", depth, start, err)
 	}
@@ -41,7 +41,7 @@ func TestQueueDrainHandoff(t *testing.T) {
 
 	// The drainer still holds duty: enqueues while it works must not
 	// elect a second drainer.
-	_, _, start, _ = q.Enqueue(batch(1), now)
+	_, _, start, _ = q.Enqueue(context.Background(), batch(1), now)
 	if start {
 		t.Fatal("enqueue while drainer active elected a second drainer")
 	}
@@ -53,7 +53,7 @@ func TestQueueDrainHandoff(t *testing.T) {
 	if _, ok = q.Drain(); ok {
 		t.Fatal("drain on empty queue reported work")
 	}
-	if _, _, start, _ = q.Enqueue(batch(1), now); !start {
+	if _, _, start, _ = q.Enqueue(context.Background(), batch(1), now); !start {
 		t.Fatal("enqueue after duty release did not elect a drainer")
 	}
 }
@@ -61,9 +61,9 @@ func TestQueueDrainHandoff(t *testing.T) {
 func TestQueueBackpressureAndClose(t *testing.T) {
 	q := NewQueue[int](2)
 	now := time.Now()
-	q.Enqueue(batch(1), now)
-	q.Enqueue(batch(1), now)
-	if _, depth, _, err := q.Enqueue(batch(1), now); !errors.Is(err, ErrQueueFull) || depth != 2 {
+	q.Enqueue(context.Background(), batch(1), now)
+	q.Enqueue(context.Background(), batch(1), now)
+	if _, depth, _, err := q.Enqueue(context.Background(), batch(1), now); !errors.Is(err, ErrQueueFull) || depth != 2 {
 		t.Fatalf("over-depth enqueue: depth=%d err=%v, want 2 ErrQueueFull", depth, err)
 	}
 
@@ -71,7 +71,7 @@ func TestQueueBackpressureAndClose(t *testing.T) {
 	if len(orphans) != 2 {
 		t.Fatalf("close returned %d orphans, want 2", len(orphans))
 	}
-	if _, _, _, err := q.Enqueue(batch(1), now); !errors.Is(err, ErrQueueClosed) {
+	if _, _, _, err := q.Enqueue(context.Background(), batch(1), now); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("enqueue after close: %v, want ErrQueueClosed", err)
 	}
 	if _, ok := q.Drain(); ok {
@@ -84,7 +84,7 @@ func TestQueueBackpressureAndClose(t *testing.T) {
 
 func TestPendingWaitAndResolve(t *testing.T) {
 	q := NewQueue[int](0)
-	p, _, _, err := q.Enqueue(batch(1), time.Now())
+	p, _, _, err := q.Enqueue(context.Background(), batch(1), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestPendingWaitAndResolve(t *testing.T) {
 	wg.Wait()
 
 	// A canceled wait abandons only the waiter; the resolution sticks.
-	p2, _, _, _ := q.Enqueue(batch(1), time.Now())
+	p2, _, _, _ := q.Enqueue(context.Background(), batch(1), time.Now())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, werr := p2.Wait(ctx); !errors.Is(werr, context.Canceled) {

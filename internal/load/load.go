@@ -150,8 +150,8 @@ func DefaultCohorts() []CohortSpec {
 	}
 }
 
-// IngestCohorts is the mutate-heavy preset for exercising the async
-// ingestion pipeline: a 2/5 mutate share with zipf key popularity (hot
+// IngestCohorts is the mutate-heavy preset for exercising the write
+// path's group commits: a 2/5 mutate share with zipf key popularity (hot
 // graphs absorb most writes, so per-graph queues actually coalesce) and a
 // reader cohort verifying that snapshot-isolated queries stay responsive
 // while appliers group-commit.

@@ -234,6 +234,8 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrIngestBackpressure):
 		return http.StatusTooManyRequests
+	case errors.Is(err, ErrApplyPanic):
+		return http.StatusInternalServerError
 	case errors.As(err, &mbe):
 		return http.StatusRequestEntityTooLarge
 	}

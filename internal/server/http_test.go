@@ -160,6 +160,8 @@ func TestStatusForErrorClasses(t *testing.T) {
 		{fmt.Errorf("wrap: %w", ErrGraphNotFound), http.StatusNotFound},
 		{ErrGraphConflict, http.StatusConflict},
 		{fmt.Errorf("wrap: %w", ErrGraphConflict), http.StatusConflict},
+		{fmt.Errorf("wrap: %w", ErrIngestBackpressure), http.StatusTooManyRequests},
+		{fmt.Errorf("wrap: %w", ErrApplyPanic), http.StatusInternalServerError},
 		{&http.MaxBytesError{Limit: 1 << 20}, http.StatusRequestEntityTooLarge},
 		{fmt.Errorf("wrap: %w", &http.MaxBytesError{Limit: 1}), http.StatusRequestEntityTooLarge},
 		{errors.New("anything else"), http.StatusBadRequest},

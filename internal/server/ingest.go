@@ -1,24 +1,29 @@
-// Async mutation ingestion: per-graph write-ahead queues with coalescing
-// group-commit applies.
+// Mutation ingestion: every PATCH batch goes through a per-graph
+// write-ahead queue and lands in a group commit.
 //
-// With Config.IngestQueue set, a PATCH batch lands in the graph's queue
-// instead of applying synchronously. The Enqueue that finds no drainer
-// active elects one (a short-lived goroutine); the drainer takes the
-// per-graph mutation serializer FIRST and only then drains, so every
-// batch that arrives while a commit (or a sync-path Mutate) holds the
-// lock piles up and rides the next group. One group commit validates each
-// batch in arrival order, coalesces the valid ones via the
-// MutationLog.Compact algebra into one merged batch, and runs that
-// through the existing fused distributed apply — N queued writers pay
+// MutateDurable admits the batch into the graph's queue. The Enqueue that
+// finds no drainer active elects one (a short-lived goroutine); the
+// drainer takes the per-graph mutation serializer FIRST and only then
+// drains, so every batch that arrives while a commit holds the lock piles
+// up and rides the next group. An uncontended batch is a group of one.
+// One group commit validates each batch in arrival order, coalesces the
+// valid ones via the MutationLog.Compact algebra into one merged batch,
+// and runs that through the graph's dynamic engine — N queued writers pay
 // ~one probe + one machine region instead of N.
 //
+// A panic in the engine fails only its own group, with ErrApplyPanic: the
+// committed (version, scores) stays registered, the engine is dropped so
+// the next batch rebuilds it from the committed graph, and the drainer
+// carries on with the batches queued behind.
+//
 // Readers never see the queue: queries serve the last committed
-// (version, scores) snapshot, exactly as with synchronous mutation.
+// (version, scores) snapshot.
 package server
 
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"repro"
@@ -26,12 +31,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Durability levels for queued mutations (MutateRequest.Durability,
+// Durability levels for mutations (MutateRequest.Durability,
 // Config.IngestDurability).
 const (
 	// DurabilityApplied acknowledges after the batch's group commit
-	// lands: the caller observes the committed version, like the sync
-	// path. The default.
+	// lands: the caller observes the committed version. The default.
 	DurabilityApplied = "applied"
 	// DurabilityEnqueued acknowledges as soon as the batch is queued:
 	// the result carries Queued=true, the current queue depth, and the
@@ -47,29 +51,40 @@ type (
 )
 
 // MutateDurable is MutateCtx with an explicit acknowledgment level
-// (empty = the server default). Without an ingest queue it behaves
-// exactly like the synchronous path regardless of durability.
+// (empty = the server default).
 func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mutation, durability string) (*MutateResult, error) {
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("server: empty mutation batch")
 	}
 	switch durability {
 	case "":
-		durability = s.ingestDurable
+		durability = s.durability
 	case DurabilityApplied, DurabilityEnqueued:
 	default:
 		return nil, fmt.Errorf("server: unknown durability %q (want %q or %q)",
 			durability, DurabilityApplied, DurabilityEnqueued)
 	}
-	if !s.ingest {
-		return s.mutateSync(ctx, name, muts)
+	if durability == DurabilityEnqueued {
+		_, ack, err := s.enqueue(ctx, nil, name, muts, durability)
+		return ack, err
 	}
-	return s.mutateQueued(ctx, name, muts, durability)
+	// The caller waits for its commit inside ingest.wait, and the commit
+	// hangs its spans under that span (commitSpan), so the wait's own time
+	// is the queueing alone.
+	waitCtx, span := obs.StartSpan(ctx, "ingest.wait")
+	defer span.End()
+	p, _, err := s.enqueue(waitCtx, waitCtx, name, muts, durability)
+	if err != nil {
+		return nil, err
+	}
+	return p.Wait(ctx) // ctx cancellation abandons the wait; the batch still commits
 }
 
-// mutateQueued admits one batch into the graph's write-ahead queue and
-// acknowledges it at the requested durability.
-func (s *Server) mutateQueued(ctx context.Context, name string, muts []repro.Mutation, durability string) (*MutateResult, error) {
+// enqueue admits one batch into the graph's write-ahead queue, recording
+// waitCtx on it: the context of the caller that waits for the commit, nil
+// when none does. An enqueued-durability batch gets its acknowledgment
+// back; an applied-durability one gets the pending batch to wait on.
+func (s *Server) enqueue(ctx, waitCtx context.Context, name string, muts []repro.Mutation, durability string) (*ingestPending, *MutateResult, error) {
 	_, span := obs.StartSpan(ctx, "ingest.enqueue")
 	defer span.End()
 	span.SetAttr("graph", name).SetAttr("mutations", len(muts)).SetAttr("durability", durability)
@@ -78,28 +93,28 @@ func (s *Server) mutateQueued(ctx context.Context, name string, muts []repro.Mut
 	ge, ok := s.graphs[name]
 	if !ok {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+		return nil, nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
 	q, ok := s.queues[name]
 	if !ok {
-		q = dynamic.NewQueue[*MutateResult](s.ingestMaxDepth)
+		q = dynamic.NewQueue[*MutateResult](s.queueMaxDepth)
 		s.queues[name] = q
 	}
 	s.mu.Unlock()
 
-	p, depth, startDrain, err := q.Enqueue(muts, time.Now())
+	p, depth, startDrain, err := q.Enqueue(waitCtx, muts, time.Now())
 	switch err {
 	case nil:
 	case dynamic.ErrQueueFull:
 		s.m.ingestRejected.Inc()
 		span.SetAttr("rejected", true)
-		return nil, fmt.Errorf("%w: %q at depth %d", ErrIngestBackpressure, name, depth)
+		return nil, nil, fmt.Errorf("%w: %q at depth %d", ErrIngestBackpressure, name, depth)
 	case dynamic.ErrQueueClosed:
 		// Evicted between the registry lookup and the enqueue; same
 		// outcome as losing the lookup race outright.
-		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+		return nil, nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	default:
-		return nil, err
+		return nil, nil, err
 	}
 	s.m.ingestEnqueued.Inc()
 	s.m.ingestDepth.Add(1)
@@ -109,7 +124,7 @@ func (s *Server) mutateQueued(ctx context.Context, name string, muts []repro.Mut
 	}
 
 	if durability == DurabilityEnqueued {
-		return &MutateResult{
+		return nil, &MutateResult{
 			Graph:      name,
 			OldVersion: ge.version,
 			Version:    ge.version, // pre-commit: the batch has not applied yet
@@ -119,7 +134,7 @@ func (s *Server) mutateQueued(ctx context.Context, name string, muts []repro.Mut
 			M:          ge.g.M(),
 		}, nil
 	}
-	return p.Wait(ctx) // ctx cancellation abandons the wait; the batch still commits
+	return p, nil, nil
 }
 
 // drainLoop is the graph's elected drainer: repeatedly take the per-graph
@@ -138,32 +153,34 @@ func (s *Server) drainLoop(name string, q *ingestQueue) {
 			return
 		}
 		s.m.ingestDepth.Add(-float64(len(group)))
-		s.commitGroup(name, group)
+		s.commitGroup(name, q, group)
 		lk.Unlock()
 	}
 }
 
-// commitGroup applies one drained backlog as a single group commit. The
-// caller holds the per-graph mutation serializer. Every pending batch is
-// resolved exactly once: invalid batches individually (sequential-apply
-// error semantics — one bad batch never poisons the group), valid ones
-// with a copy of the shared commit result annotated per-batch.
-func (s *Server) commitGroup(name string, group []*ingestPending) {
-	ctx, span := s.tracer.Start(context.Background(), "ingest.commit")
-	defer span.End()
-	span.SetAttr("graph", name).SetAttr("batches", len(group))
+// commitGroup applies one backlog drained from q as a single group
+// commit. The caller holds the per-graph mutation serializer. Every
+// pending batch is resolved exactly once: invalid batches individually
+// (sequential-apply error semantics — one bad batch never poisons the
+// group), valid ones with a copy of the shared commit result carrying the
+// batch's own Seq.
+func (s *Server) commitGroup(name string, q *ingestQueue, group []*ingestPending) {
 	commitStart := time.Now()
 
+	// Evict does not take the serializer, so an Evict — and a
+	// re-registration under the same name — can land between Drain and
+	// this lookup. The batches belong to the graph that owned q, and q
+	// left the registry with it.
 	s.mu.Lock()
 	ge, ok := s.graphs[name]
+	ok = ok && s.queues[name] == q
+	var lastSeq uint64
+	if ok {
+		lastSeq = ge.seq
+	}
 	s.mu.Unlock()
 	if !ok {
-		// Evicted after these batches were drained (the depth gauge
-		// already dropped them): fail them like Close-stranded orphans.
-		for _, p := range group {
-			s.m.ingestBatchErrors.Inc()
-			p.Resolve(nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name))
-		}
+		s.failGroup(group, fmt.Errorf("%w: %q", ErrGraphNotFound, name))
 		return
 	}
 
@@ -172,7 +189,7 @@ func (s *Server) commitGroup(name string, group []*ingestPending) {
 	// apply semantics: a batch that would have been rejected sequentially
 	// (double add, missing remove) is rejected here with its own error,
 	// and later batches validate against the state it would have left.
-	shadow := ge.g.Clone()
+	shadow := ge.g // only cloned from; Clone never writes its source
 	valid := group[:0]
 	var raw int
 	for _, p := range group {
@@ -198,38 +215,115 @@ func (s *Server) commitGroup(name string, group []*ingestPending) {
 	s.m.ingestCoalesced.Add(float64(len(valid)))
 	s.m.ingestCommits.Inc()
 	s.m.ingestGroupSize.Observe(float64(len(valid)))
-	span.SetAttr("raw_ops", raw).SetAttr("coalesced_ops", len(coalesced))
 
+	ctx, span := s.commitSpan(valid)
+	span.SetAttr("graph", name).SetAttr("batches", len(group)).
+		SetAttr("raw_ops", raw).SetAttr("coalesced_ops", len(coalesced))
 	var res *MutateResult
 	var err error
 	if len(coalesced) == 0 {
-		// The group cancelled itself out (adds matched by removes, sets
-		// restoring prior weights may still remain — only a truly empty
-		// compaction lands here). Nothing to apply; the committed state
-		// already equals the group's outcome.
+		// The group cancelled itself out (adds matched by removes; only a
+		// truly empty compaction lands here). Nothing to apply; the
+		// committed state already equals the group's outcome.
+		s.mu.Lock()
+		ge.seq += uint64(len(valid))
+		s.mu.Unlock()
 		res = &MutateResult{
 			Graph: name, OldVersion: ge.version, Version: ge.version,
 			Strategy: "noop", N: ge.g.N, M: ge.g.M(),
 		}
 	} else {
-		res, err = s.applyCommitted(ctx, name, ge, coalesced, commitStart)
+		res, err = s.applyCommitted(ctx, name, ge, coalesced, len(valid), commitStart)
 	}
+	// End the commit's spans before any waiter wakes: they may hang in a
+	// waiter's trace, which its request seals when it ends.
+	span.End()
 	if err != nil {
-		// Engine or install failure (ErrGraphConflict on eviction races)
-		// fails the whole group: none of its batches took effect.
-		for _, p := range valid {
-			s.m.ingestBatchErrors.Inc()
-			p.Resolve(nil, err)
-		}
+		// Engine failure, engine panic, or an install lost to eviction
+		// (ErrGraphConflict) fails the whole group: none of its batches
+		// took effect.
+		s.failGroup(valid, err)
 		return
 	}
-	for _, p := range valid {
+	for i, p := range valid {
 		wait := commitStart.Sub(p.EnqueuedAt)
 		s.m.ingestQueueWait.Observe(wait.Seconds())
 		r := *res
+		r.Seq = lastSeq + uint64(i) + 1
 		r.CoalescedBatches = len(valid)
 		r.QueueWaitMS = float64(wait.Microseconds()) / 1e3
 		p.Resolve(&r, nil)
+	}
+}
+
+// commitSpan opens a group commit's span. It hangs under the wait span of
+// the group's first applied-durability batch, so an uncontended PATCH
+// traces down through the apply into the machine regions, and an
+// untraced caller gets no trace, as with any other call. A group that
+// nobody waits on opens its own root. The commit takes only the waiter's
+// values: a caller that stops waiting does not cancel it.
+func (s *Server) commitSpan(group []*ingestPending) (context.Context, *obs.Span) {
+	for _, p := range group {
+		if p.Ctx != nil {
+			return obs.StartSpan(context.WithoutCancel(p.Ctx), "ingest.commit")
+		}
+	}
+	return s.tracer.Start(context.Background(), "ingest.commit")
+}
+
+// runEngine applies muts through ge's dynamic engine, constructing it on
+// first use, and returns the engine with the apply's report and snapshot.
+// A panic in construction or in the apply is contained here: it becomes
+// ErrApplyPanic, logged with its stack, and the engine — whose state the
+// panic may have left half-written — is detached from ge, so the next
+// batch rebuilds it from the committed graph. The caller installs nothing
+// on error, so the registered (version, scores) stays as it was.
+func (s *Server) runEngine(ctx context.Context, name string, ge *graphEntry, muts []repro.Mutation) (dyn DynEngine, rep repro.ApplyReport, snap repro.DynamicSnapshot, err error) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		s.logger.Error("mutation apply panicked", "graph", name, "panic", r, "stack", string(debug.Stack()))
+		s.mu.Lock()
+		ge.dyn = nil
+		s.mu.Unlock()
+		err = fmt.Errorf("%w: %q: %v", ErrApplyPanic, name, r)
+	}()
+
+	s.mu.Lock()
+	dyn = ge.dyn
+	s.mu.Unlock()
+	if dyn == nil {
+		dyn, err = s.newDynamic(name, ge.g, repro.DynamicOptions{
+			Workers: s.workers, DirtyThreshold: s.dirty,
+			Procs: s.dynProcs, CacheSets: s.dynCacheSets,
+			SampleBudget: s.dynSampleBudget, RefreshEvery: s.dynRefreshEvery,
+			LogCompactAt: s.logCompactAt, LogTruncate: s.logTruncate,
+		})
+		if err != nil {
+			return nil, rep, snap, err
+		}
+		// Attach the engine (and its expensive initial exact compute) to the
+		// live entry right away, so a failing batch below doesn't force the
+		// next PATCH to redo the base computation.
+		s.mu.Lock()
+		if s.graphs[name] == ge {
+			ge.dyn = dyn
+		}
+		s.mu.Unlock()
+	}
+	if rep, err = dyn.ApplyCtx(ctx, muts); err != nil {
+		return nil, rep, snap, err
+	}
+	return dyn, rep, dyn.Scores(), nil
+}
+
+// failGroup resolves batches that will never commit with err.
+func (s *Server) failGroup(group []*ingestPending, err error) {
+	for _, p := range group {
+		s.m.ingestBatchErrors.Inc()
+		p.Resolve(nil, err)
 	}
 }
 
@@ -240,8 +334,5 @@ func (s *Server) failOrphans(name string, orphans []*ingestPending) {
 		return
 	}
 	s.m.ingestDepth.Add(-float64(len(orphans)))
-	for _, p := range orphans {
-		s.m.ingestBatchErrors.Inc()
-		p.Resolve(nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name))
-	}
+	s.failGroup(orphans, fmt.Errorf("%w: %q", ErrGraphNotFound, name))
 }

@@ -21,7 +21,7 @@ import (
 // batch with ErrGraphNotFound, and a re-registered graph under the same
 // name starts with a fresh, empty queue — never the evicted one.
 func TestIngestEvictFailsQueuedBatches(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(6, 6, 1, 1)
 	n := int32(g.N)
 	if _, err := s.AddGraph("g", g.Clone()); err != nil {
@@ -43,7 +43,7 @@ func TestIngestEvictFailsQueuedBatches(t *testing.T) {
 			errCh <- err
 		}()
 	}
-	waitFor(t, "round queued", func() bool { return s.Stats().IngestQueueDepth == K })
+	waitFor(t, "round queued", func() bool { return s.Stats().IngestDepth == K })
 	if err := s.Evict("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,8 @@ func TestIngestEvictFailsQueuedBatches(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.IngestQueueDepth != 0 {
-		t.Fatalf("IngestQueueDepth = %d after evict, want 0", st.IngestQueueDepth)
+	if st.IngestDepth != 0 {
+		t.Fatalf("IngestDepth = %d after evict, want 0", st.IngestDepth)
 	}
 	if st.IngestBatchErrors != K {
 		t.Fatalf("IngestBatchErrors = %d, want %d", st.IngestBatchErrors, K)
@@ -84,6 +84,65 @@ func TestIngestEvictFailsQueuedBatches(t *testing.T) {
 	}
 }
 
+// TestDrainedGroupSkipsReregisteredGraph: Evict does not take the
+// serializer, so an Evict and a re-registration can land between a
+// drainer's Drain and its commitGroup lookup. The drained batches belong
+// to the evicted graph; they must fail with ErrGraphNotFound and leave
+// the re-registered graph untouched, not validate against and commit onto
+// it.
+func TestDrainedGroupSkipsReregisteredGraph(t *testing.T) {
+	s := New(Config{Workers: 1})
+	g := repro.GridGraph(5, 5, 1, 1)
+	if _, err := s.AddGraph("g", g.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the serializer so the elected drainer stays parked; this test
+	// plays the drainer itself.
+	lk := s.mutLockFor("g")
+	lk.Lock()
+	defer lk.Unlock()
+	for _, muts := range [][]repro.Mutation{
+		{{Op: repro.MutAddEdge, U: 0, V: 24, W: 1}},
+		{{Op: repro.MutAddEdge, U: 1, V: 23, W: 1}},
+	} {
+		if _, err := s.MutateDurable(context.Background(), "g", muts, DurabilityEnqueued); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	q := s.queues["g"]
+	s.mu.Unlock()
+	group, ok := q.Drain()
+	if !ok || len(group) != 2 {
+		t.Fatalf("drained %d batches (ok=%v), want 2", len(group), ok)
+	}
+	s.m.ingestDepth.Add(-float64(len(group)))
+
+	if err := s.Evict("g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddGraph("g", g.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	s.commitGroup("g", q, group)
+
+	for i, p := range group {
+		if _, err := p.Wait(context.Background()); !errors.Is(err, ErrGraphNotFound) {
+			t.Fatalf("drained batch %d: %v, want ErrGraphNotFound", i, err)
+		}
+	}
+	info, err := s.GraphInfoFor("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.M != g.M() {
+		t.Fatalf("re-registered graph has m=%d, want %d: the evicted graph's batches landed on it", info.M, g.M())
+	}
+	if st := s.Stats(); st.Mutations != 0 || st.IngestBatchErrors != 2 {
+		t.Fatalf("mutations/batch errors = %d/%d, want 0/2", st.Mutations, st.IngestBatchErrors)
+	}
+}
+
 // stallEngine wraps the real dynamic engine and parks inside ApplyCtx
 // until released, holding a group commit in flight on demand.
 type stallEngine struct {
@@ -105,7 +164,7 @@ func (e *stallEngine) ApplyCtx(ctx context.Context, batch []repro.Mutation) (rep
 func TestIngestEvictDuringCommit(t *testing.T) {
 	eng := &stallEngine{entered: make(chan struct{}), release: make(chan struct{})}
 	s := New(Config{
-		Workers: 1, IngestQueue: true,
+		Workers: 1,
 		NewDynamic: func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
 			inner, err := repro.NewDynamicBC(g, opt)
 			if err != nil {
@@ -166,7 +225,7 @@ func hashScores(scores []float64) uint64 {
 // observe a consistent (version, scores) pair — one scores vector per
 // version, never a mix of old and new.
 func TestIngestNoTornSnapshots(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(8, 8, 3, 7)
 	if _, err := s.AddGraph("g", g); err != nil {
 		t.Fatal(err)
@@ -222,7 +281,7 @@ func TestIngestNoTornSnapshots(t *testing.T) {
 // and reads. Every outcome must be a sane one; the value is the -race
 // detector plus the queue-teardown invariants under churn.
 func TestIngestEvictRegisterStorm(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true, IngestMaxDepth: 8})
+	s := New(Config{Workers: 1, IngestMaxDepth: 8})
 	mk := func(seed int64) *repro.Graph { return repro.GridGraph(6, 6, 3, seed) }
 	if _, err := s.AddGraph("g", mk(1)); err != nil {
 		t.Fatal(err)
@@ -276,5 +335,5 @@ func TestIngestEvictRegisterStorm(t *testing.T) {
 	wg.Wait()
 
 	// Quiesce: drainers for live queues finish their backlogs.
-	waitFor(t, "queues drained", func() bool { return s.Stats().IngestQueueDepth == 0 })
+	waitFor(t, "queues drained", func() bool { return s.Stats().IngestDepth == 0 })
 }

@@ -18,7 +18,7 @@ import (
 // waiter acknowledged with the same committed version and the group's
 // effective (post-coalescing) op count.
 func TestIngestGroupCommitCoalesces(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(6, 6, 1, 1)
 	n := int32(g.N)
 	if _, err := s.AddGraph("g", g); err != nil {
@@ -47,7 +47,7 @@ func TestIngestGroupCommitCoalesces(t *testing.T) {
 			results <- res
 		}()
 	}
-	waitFor(t, "all batches queued", func() bool { return s.Stats().IngestQueueDepth == K })
+	waitFor(t, "all batches queued", func() bool { return s.Stats().IngestDepth == K })
 	lk.Unlock()
 
 	var version uint64
@@ -87,8 +87,8 @@ func TestIngestGroupCommitCoalesces(t *testing.T) {
 	if st.Mutations != 1 {
 		t.Fatalf("Mutations = %d, want 1 engine apply for %d writers", st.Mutations, K)
 	}
-	if st.IngestQueueDepth != 0 {
-		t.Fatalf("IngestQueueDepth = %d after drain, want 0", st.IngestQueueDepth)
+	if st.IngestDepth != 0 {
+		t.Fatalf("IngestDepth = %d after drain, want 0", st.IngestDepth)
 	}
 	info, err := s.GraphInfoFor("g")
 	if err != nil {
@@ -103,7 +103,7 @@ func TestIngestGroupCommitCoalesces(t *testing.T) {
 // the apply with the pre-commit version, and the commit still lands
 // asynchronously.
 func TestIngestEnqueuedDurability(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true, IngestDurability: DurabilityEnqueued})
+	s := New(Config{Workers: 1, IngestDurability: DurabilityEnqueued})
 	if _, err := s.AddGraph("g", repro.GridGraph(5, 5, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestIngestEnqueuedDurability(t *testing.T) {
 // with ErrIngestBackpressure, and the HTTP layer maps it to 429 +
 // Retry-After.
 func TestIngestBackpressure(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true, IngestMaxDepth: 2, IngestDurability: DurabilityEnqueued})
+	s := New(Config{Workers: 1, IngestMaxDepth: 2, IngestDurability: DurabilityEnqueued})
 	if _, err := s.AddGraph("g", repro.GridGraph(5, 5, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 
 	lk.Unlock()
-	waitFor(t, "backlog drained", func() bool { return s.Stats().Mutations >= 1 && s.Stats().IngestQueueDepth == 0 })
+	waitFor(t, "backlog drained", func() bool { return s.Stats().Mutations >= 1 && s.Stats().IngestDepth == 0 })
 	// Capacity freed: the next batch is admitted.
 	if _, err := add(4, 20); err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestIngestBackpressure(t *testing.T) {
 // TestIngestEnqueuedHTTPStatus: an enqueued-durability PATCH answers 202
 // with queued=true, not 200.
 func TestIngestEnqueuedHTTPStatus(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	if _, err := s.AddGraph("g", repro.GridGraph(5, 5, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestIngestEnqueuedHTTPStatus(t *testing.T) {
 // sequential-apply error semantics — an invalid batch inside a group gets
 // its own error while its neighbors commit.
 func TestIngestInvalidBatchRejectedIndividually(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(6, 6, 1, 1)
 	n := int32(g.N)
 	if _, err := s.AddGraph("g", g); err != nil {
@@ -249,7 +249,7 @@ func TestIngestInvalidBatchRejectedIndividually(t *testing.T) {
 		}()
 		// Arrival order matters to the assertion; queue them one by one.
 		want := i + 1
-		waitFor(t, "batch queued", func() bool { return s.Stats().IngestQueueDepth == want })
+		waitFor(t, "batch queued", func() bool { return s.Stats().IngestDepth == want })
 	}
 	lk.Unlock()
 
@@ -280,7 +280,7 @@ func TestIngestInvalidBatchRejectedIndividually(t *testing.T) {
 // post-coalescing op count, not the caller's raw batch size — two
 // redundant reweights of one edge commit as a single effective op.
 func TestIngestReportsEffectiveBatch(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(5, 5, 1, 1)
 	e := g.Edges[0]
 	if _, err := s.AddGraph("g", g); err != nil {
@@ -316,22 +316,24 @@ func mustGraph(t *testing.T, s *Server, name string) *repro.Graph {
 }
 
 // TestGroupCommitDifferential is the acceptance differential: a seeded
-// schedule of mutation rounds applied through the ingest pipeline (each
-// round forced into one group commit) must match a sync server applying
-// the same batches one at a time — scores equal at 1e-9 on every round
-// boundary, and equal to a from-scratch Compute at the end.
+// schedule of mutation rounds, each round forced into one group commit,
+// must match a server applying the same batches as awaited groups of one
+// — scores equal at 1e-9 on every round boundary, and equal to a
+// from-scratch Compute at the end. Every batch's Seq is distinct and
+// increasing in arrival order on both sides.
 func TestGroupCommitDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		base := repro.GridGraph(6, 6, 3, seed)
-		async := New(Config{Workers: 1, IngestQueue: true})
-		sync_ := New(Config{Workers: 1})
-		if _, err := async.AddGraph("g", base.Clone()); err != nil {
+		grouped := New(Config{Workers: 1})
+		single := New(Config{Workers: 1})
+		if _, err := grouped.AddGraph("g", base.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sync_.AddGraph("g", base.Clone()); err != nil {
+		if _, err := single.AddGraph("g", base.Clone()); err != nil {
 			t.Fatal(err)
 		}
+		var lastGrouped, lastSingle uint64
 
 		// shadow tracks the graph state batches are generated against, so
 		// every batch is valid when applied in arrival order.
@@ -368,38 +370,61 @@ func TestGroupCommitDifferential(t *testing.T) {
 				}
 			}
 
-			// Sync side: one engine apply per batch, in order.
+			// Oracle side: each batch awaited alone, a group of one.
 			for _, b := range batches {
-				if _, err := sync_.Mutate("g", b); err != nil {
-					t.Fatalf("seed %d round %d: sync apply: %v", seed, round, err)
+				res, err := single.Mutate("g", b)
+				if err != nil {
+					t.Fatalf("seed %d round %d: single apply: %v", seed, round, err)
 				}
+				if res.CoalescedBatches != 1 || res.Seq != lastSingle+1 {
+					t.Fatalf("seed %d round %d: awaited batch: group of %d, seq %d after %d; want a group of one, seq %d",
+						seed, round, res.CoalescedBatches, res.Seq, lastSingle, lastSingle+1)
+				}
+				lastSingle = res.Seq
 			}
-			// Async side: hold the serializer so the round lands as ONE
+			// Grouped side: hold the serializer so the round lands as ONE
 			// group commit, in the same arrival order.
-			lk := async.mutLockFor("g")
+			lk := grouped.mutLockFor("g")
 			lk.Lock()
-			errCh := make(chan error, nb)
+			type out struct {
+				res *MutateResult
+				err error
+			}
+			outs := make([]chan out, nb)
 			for i, b := range batches {
-				muts := b
+				ch, muts := make(chan out, 1), b
+				outs[i] = ch
 				go func() {
-					_, err := async.MutateDurable(context.Background(), "g", muts, DurabilityApplied)
-					errCh <- err
+					res, err := grouped.MutateDurable(context.Background(), "g", muts, DurabilityApplied)
+					ch <- out{res, err}
 				}()
 				want := i + 1
-				waitFor(t, "round queued in order", func() bool { return async.Stats().IngestQueueDepth == want })
+				waitFor(t, "round queued in order", func() bool { return grouped.Stats().IngestDepth == want })
 			}
 			lk.Unlock()
-			for range batches {
-				if err := <-errCh; err != nil {
-					t.Fatalf("seed %d round %d: group commit: %v", seed, round, err)
+			for i, ch := range outs {
+				o := recv(t, "group commit", ch)
+				if o.err != nil {
+					t.Fatalf("seed %d round %d: group commit: %v", seed, round, o.err)
 				}
+				if o.res.CoalescedBatches != nb {
+					t.Fatalf("seed %d round %d: batch %d rode a group of %d, want %d", seed, round, i, o.res.CoalescedBatches, nb)
+				}
+				if o.res.Seq != lastGrouped+1 {
+					t.Fatalf("seed %d round %d: batch %d has seq %d after %d, want distinct seqs increasing in arrival order",
+						seed, round, i, o.res.Seq, lastGrouped)
+				}
+				lastGrouped = o.res.Seq
+			}
+			if lastGrouped != lastSingle {
+				t.Fatalf("seed %d round %d: grouped side at seq %d, single side at %d", seed, round, lastGrouped, lastSingle)
 			}
 
-			qa, err := async.Query(QueryRequest{Graph: "g", IncludeScores: true})
+			qa, err := grouped.Query(QueryRequest{Graph: "g", IncludeScores: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			qs, err := sync_.Query(QueryRequest{Graph: "g", IncludeScores: true})
+			qs, err := single.Query(QueryRequest{Graph: "g", IncludeScores: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,7 +438,7 @@ func TestGroupCommitDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qa, err := async.Query(QueryRequest{Graph: "g", IncludeScores: true})
+		qa, err := grouped.Query(QueryRequest{Graph: "g", IncludeScores: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +451,7 @@ func TestGroupCommitDifferential(t *testing.T) {
 // TestIngestStatsReadback: /stats surfaces the ingest counters scraped by
 // the load harness.
 func TestIngestStatsReadback(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	if _, err := s.AddGraph("g", repro.GridGraph(4, 4, 1, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -272,17 +272,42 @@ func TestMutateErrors(t *testing.T) {
 	if st := s.Stats(); st.Mutations != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// The engine built for the failed batch (with its initial exact
-	// compute) must stay attached so the next PATCH doesn't pay for it
-	// again.
+	// The group commit validates a batch before it reaches the engine, so
+	// the invalid batch paid for no engine construction.
 	s.mu.Lock()
-	kept := s.graphs["g"].dyn != nil
+	built := s.graphs["g"].dyn != nil
 	s.mu.Unlock()
-	if !kept {
-		t.Fatal("failed batch discarded the graph's dynamic engine")
+	if built {
+		t.Fatal("invalid batch built the graph's dynamic engine")
 	}
 	if _, err := s.Mutate("g", []repro.Mutation{{Op: repro.MutAddVertex}}); err != nil {
 		t.Fatalf("valid batch after failed one: %v", err)
+	}
+
+	// A batch the engine itself fails must not touch state either, and the
+	// engine built for it (with its initial exact compute) must stay
+	// attached so the next PATCH doesn't pay for it again.
+	g := repro.GridGraph(3, 3, 1, 1)
+	e := g.Edges[0]
+	fs := newFaultServer([2]int32{-1, -1}, [2]int32{e.U, e.V})
+	info, err = fs.AddGraph("g", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Mutate("g", []repro.Mutation{{Op: repro.MutSetWeight, U: e.U, V: e.V, W: 2}}); err == nil {
+		t.Fatal("engine failure accepted")
+	}
+	if ni, _ := fs.GraphInfoFor("g"); ni.Version != info.Version {
+		t.Fatal("engine-failed batch changed the registered version")
+	}
+	if fs.engine("g") == nil {
+		t.Fatal("engine-failed batch discarded the graph's dynamic engine")
+	}
+	if _, err := fs.Mutate("g", []repro.Mutation{{Op: repro.MutAddVertex}}); err != nil {
+		t.Fatalf("valid batch after engine failure: %v", err)
+	}
+	if n := fs.buildCount(); n != 1 {
+		t.Fatalf("engine built %d times, want 1", n)
 	}
 }
 

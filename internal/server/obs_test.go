@@ -61,16 +61,22 @@ func TestMutateTraceMachineRegions(t *testing.T) {
 		byName[rec.Name] = append(byName[rec.Name], rec)
 		id2name[rec.Span] = rec.Name
 	}
-	for _, want := range []string{"http.mutate", "server.mutate", "dynamic.apply", "machine.region"} {
+	for _, want := range []string{
+		"http.mutate", "ingest.enqueue", "ingest.wait", "ingest.commit",
+		"server.mutate", "dynamic.apply", "machine.region",
+	} {
 		if len(byName[want]) == 0 {
 			t.Fatalf("trace has no %q span; got %v", want, names(spans))
 		}
 	}
-	// Parent chain: server.mutate under http.mutate, dynamic.apply under
-	// server.mutate, machine.region under dynamic.apply.
+	// Parent chain: the batch's wait under http.mutate, its enqueue and
+	// the group commit that applied it under the wait, server.mutate under
+	// the commit, dynamic.apply under server.mutate, machine.region under
+	// dynamic.apply.
 	for child, parent := range map[string]string{
-		"server.mutate": "http.mutate", "dynamic.apply": "server.mutate",
-		"machine.region": "dynamic.apply",
+		"ingest.wait": "http.mutate", "ingest.enqueue": "ingest.wait",
+		"ingest.commit": "ingest.wait", "server.mutate": "ingest.commit",
+		"dynamic.apply": "server.mutate", "machine.region": "dynamic.apply",
 	} {
 		if got := id2name[byName[child][0].Parent]; got != parent {
 			t.Errorf("%s parent = %q, want %q", child, got, parent)

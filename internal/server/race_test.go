@@ -19,14 +19,13 @@ func gridWithNonEdges(seed int64) (*repro.Graph, [2]int32, [2]int32) {
 	return g, [2]int32{0, n - 1}, [2]int32{1, n - 2}
 }
 
-// TestEvictMutateRaceSerialization pins the Evict/Mutate serialization
-// contract: a Mutate queued on the per-graph serializer while the graph is
-// evicted and re-registered must still serialize with every other Mutate
-// for that name. Pre-fix, Evict deleted mutLocks[name], so the second
-// Mutate minted a fresh mutex and the two batches ran concurrently — the
-// loser of the install race got a spurious ErrGraphConflict (and both paid
-// a duplicate engine construction). Post-fix both batches succeed, in
-// order, and both edges land in the final graph.
+// TestEvictMutateRaceSerialization pins the Evict/Mutate contract of the
+// write path: a batch queued before its graph is evicted fails with
+// ErrGraphNotFound, and a batch for the graph re-registered under the
+// same name waits behind the old queue's drainer on the per-name
+// serializer and then commits onto the new graph, with no spurious
+// ErrGraphConflict. A serializer minted afresh for the re-registered name
+// would let the two drainers commit for one name at once.
 func TestEvictMutateRaceSerialization(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		s := New(Config{Workers: 1})
@@ -37,7 +36,7 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 		}
 
 		// Hold the live per-graph serializer, exactly as an in-flight
-		// mutation batch would while its engine computes.
+		// group commit would while its engine computes.
 		lk := s.mutLockFor("g")
 		lk.Lock()
 
@@ -48,7 +47,7 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 			})
 			errA <- err
 		}()
-		time.Sleep(5 * time.Millisecond) // let A queue on the serializer
+		waitFor(t, "batch A queued", func() bool { return s.Stats().IngestEnqueued == 1 })
 
 		// Evict and immediately re-register the name: the window the race
 		// needs. The re-registered graph is rebuilt from the same seed.
@@ -67,24 +66,27 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 			})
 			errB <- err
 		}()
-		// Give B time to reach its serializer: pre-fix it mints a fresh
-		// mutex and sails into engine construction while A is still queued
-		// on the old one; post-fix it queues behind A.
-		time.Sleep(time.Millisecond)
+		// B's drainer must queue on the serializer A's drainer waits on;
+		// with a freshly minted mutex it would drain B right away.
+		waitFor(t, "batch B queued", func() bool { return s.Stats().IngestEnqueued == 2 })
+		time.Sleep(20 * time.Millisecond)
+		if d := s.Stats().IngestDepth; d != 1 {
+			t.Fatalf("round %d: batch B drained while the serializer was held (depth %d)", round, d)
+		}
 		lk.Unlock()
 
-		if err := <-errA; err != nil {
-			t.Fatalf("round %d: batch A failed: %v", round, err)
+		if err := recv(t, "batch A", errA); !errors.Is(err, ErrGraphNotFound) {
+			t.Fatalf("round %d: batch A, queued before the evict: %v, want ErrGraphNotFound", round, err)
 		}
-		if err := <-errB; err != nil {
+		if err := recv(t, "batch B", errB); err != nil {
 			t.Fatalf("round %d: batch B failed: %v", round, err)
 		}
 		info, err := s.GraphInfoFor("g")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.M != base+2 {
-			t.Fatalf("round %d: final graph has m=%d, want %d (both serialized batches applied)", round, info.M, base+2)
+		if info.M != base+1 {
+			t.Fatalf("round %d: final graph has m=%d, want %d (only batch B applied)", round, info.M, base+1)
 		}
 	}
 }

@@ -46,6 +46,12 @@ var ErrGraphConflict = errors.New("server: graph replaced during mutation")
 // layer maps it to 429 + Retry-After. The batch was not enqueued.
 var ErrIngestBackpressure = errors.New("server: ingest queue full")
 
+// ErrApplyPanic is returned by Mutate when the dynamic engine panicked
+// while applying the group commit that carried the batch; the HTTP layer
+// maps it to 500. No batch of that group took effect, and the next batch
+// runs on an engine rebuilt from the committed graph.
+var ErrApplyPanic = errors.New("server: mutation apply panicked")
+
 // Config parameterizes a Server.
 type Config struct {
 	// Workers is the shared-memory parallelism handed to every compute
@@ -102,16 +108,12 @@ type Config struct {
 	// SlowQuery, when positive, logs any instrumented HTTP request that
 	// takes at least this long as a warning with route and latency.
 	SlowQuery time.Duration
-	// IngestQueue enables async mutation ingestion: PATCH batches land in
-	// a per-graph write-ahead queue and a background applier coalesces the
-	// backlog into one group-commit apply, so N queued writers pay ~one
-	// probe + one machine region instead of N (see ingest.go).
-	IngestQueue bool
-	// IngestDurability is the default acknowledgment level for queued
-	// mutations: DurabilityApplied (block until the group commit lands —
-	// the default, and the sync path's semantics) or DurabilityEnqueued
-	// (acknowledge on enqueue; the response carries queued=true and the
-	// pre-commit version). Per-request override via MutateRequest.
+	// IngestDurability is the default acknowledgment level for mutations,
+	// which all go through a per-graph write-ahead queue and group commit
+	// (see ingest.go): DurabilityApplied (block until the group commit
+	// lands; the default) or DurabilityEnqueued (acknowledge on enqueue;
+	// the response carries queued=true and the pre-commit version).
+	// Per-request override via MutateRequest.
 	IngestDurability string
 	// IngestMaxDepth bounds each graph's queue to this many pending
 	// batches; enqueues beyond it fail with ErrIngestBackpressure
@@ -154,9 +156,8 @@ type Server struct {
 	dynRefreshEvery int
 	logCompactAt    int
 	logTruncate     bool
-	ingest          bool   // async ingestion enabled (Config.IngestQueue)
-	ingestDurable   string // default ack level: DurabilityApplied | DurabilityEnqueued
-	ingestMaxDepth  int    // per-graph queue bound; ≤ 0 = unbounded
+	durability      string // default ack level: DurabilityApplied | DurabilityEnqueued
+	queueMaxDepth   int    // per-graph queue bound; ≤ 0 = unbounded
 	newDynamic      func(name string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error)
 
 	// computeExact/computeApprox are repro.Compute/repro.ApproximateBC,
@@ -186,6 +187,10 @@ type graphEntry struct {
 	// dyn is the graph's streaming engine, created on the first mutation
 	// and carried across versions so incremental applies keep warm scores.
 	dyn DynEngine
+	// seq counts the mutation batches committed to the graph since its
+	// registration, carried across versions like dyn; each batch's
+	// MutateResult.Seq is its place in that count. Guarded by Server.mu.
+	seq uint64
 }
 
 type cacheEntry struct {
@@ -243,15 +248,15 @@ type Stats struct {
 	FusedApplies     int64 `json:"fused_applies"`
 	TwoRegionApplies int64 `json:"two_region_applies"`
 	OperandEvictions int64 `json:"operand_evictions"`
-	// Async-ingestion counters (Config.IngestQueue): batches accepted into
-	// write-ahead queues, group commits executed, batches merged into
-	// them, backpressure rejections, and per-batch failures.
+	// Ingestion counters: batches accepted into write-ahead queues, group
+	// commits executed, batches merged into them, backpressure rejections,
+	// and per-batch failures.
 	IngestEnqueued    int64 `json:"ingest_enqueued"`
 	IngestCommits     int64 `json:"ingest_commits"`
 	IngestCoalesced   int64 `json:"ingest_coalesced"`
 	IngestRejected    int64 `json:"ingest_rejected"`
 	IngestBatchErrors int64 `json:"ingest_batch_errors"`
-	IngestQueueDepth  int   `json:"ingest_queue_depth"` // queued, not yet drained
+	IngestDepth       int   `json:"ingest_queue_depth"` // queued, not yet drained
 }
 
 // New creates a Server.
@@ -289,9 +294,8 @@ func New(cfg Config) *Server {
 		dynRefreshEvery: cfg.DynRefreshEvery,
 		logCompactAt:    cfg.LogCompactAt,
 		logTruncate:     cfg.LogTruncate,
-		ingest:          cfg.IngestQueue,
-		ingestDurable:   durable,
-		ingestMaxDepth:  maxDepth,
+		durability:      durable,
+		queueMaxDepth:   maxDepth,
 		newDynamic:      cfg.NewDynamic,
 		computeExact:    repro.Compute,
 		computeApprox:   repro.ApproximateBC,
@@ -357,7 +361,7 @@ type serverMetrics struct {
 	queryDur  *obs.HistogramVec // source: cache|coalesced|compute
 	mutateDur *obs.HistogramVec // strategy: incremental|full|sampled
 
-	// Async-ingestion telemetry (ingest.go): queue depth, batches
+	// Ingestion telemetry (ingest.go): queue depth, batches
 	// enqueued/rejected/failed, group commits and their coalescing win,
 	// and how long batches waited queued before their commit started.
 	ingestEnqueued    *obs.Counter
@@ -531,22 +535,23 @@ func (s *Server) GenerateGraph(name string, spec GraphSpec) (GraphInfo, error) {
 // Evict removes the named graph and purges its cached results. In-flight
 // computations against the old graph finish normally for their waiters.
 //
-// The per-name mutation serializer (mutLocks) deliberately survives the
-// eviction: an in-flight Mutate may hold or be queued on it, and if the
-// name is re-registered, a freshly minted mutex would let two mutation
-// batches for one graph run concurrently — the queued batch would then
-// lose the install race and fail with a spurious ErrGraphConflict. Keeping
-// the serializer keyed by name for the server's lifetime preserves
-// per-graph ordering across evict/re-register cycles; the map grows only
-// with the set of distinct names ever mutated.
+// The graph's write-ahead ingestion queue dies with the graph: it is
+// removed from the registry here and closed, and every batch still queued
+// fails with ErrGraphNotFound. A re-registered graph under the same name
+// gets a fresh empty queue, so an evicted graph's pending mutations are
+// never resurrected. A group already drained but not yet looked up fails
+// with ErrGraphNotFound too (commitGroup checks that its queue is still
+// the registered one), and a group commit already inside the engine fails
+// at install time with ErrGraphConflict (the entry it read is no longer
+// registered).
 //
-// The graph's write-ahead ingestion queue, by contrast, dies with the
-// graph: it is removed from the registry here and closed, every batch
-// still queued fails with ErrGraphNotFound, and a re-registered graph
-// under the same name gets a fresh empty queue — an evicted graph's
-// pending mutations are never resurrected. A group commit already past
-// Drain fails at install time with ErrGraphConflict (the entry it read
-// is no longer registered), exactly like the sync path.
+// The per-name mutation serializer (mutLocks) deliberately survives the
+// eviction: the old queue's drainer may hold or wait on it, and a freshly
+// minted mutex for a re-registered name would let that drainer and the
+// new queue's run side by side. Keeping the serializer keyed by name for
+// the server's lifetime keeps at most one commit per name at a time
+// across evict/re-register cycles; the map grows only with the set of
+// distinct names ever mutated.
 func (s *Server) Evict(name string) error {
 	s.mu.Lock()
 	if _, ok := s.graphs[name]; !ok {
@@ -594,11 +599,10 @@ func (s *Server) purgeLocked(name string) {
 // PATCH /graphs/{name}.
 type MutateRequest struct {
 	Mutations []repro.Mutation `json:"mutations"`
-	// Durability overrides the server's default acknowledgment level for
-	// async ingestion: "applied" blocks until the group commit lands,
-	// "enqueued" acknowledges as soon as the batch is queued (202, with
-	// queued=true and the pre-commit version). Ignored unless the server
-	// runs with an ingest queue; empty uses the server default.
+	// Durability overrides the server's default acknowledgment level:
+	// "applied" blocks until the group commit lands, "enqueued"
+	// acknowledges as soon as the batch is queued (202, with queued=true
+	// and the pre-commit version). Empty uses the server default.
 	Durability string `json:"durability,omitempty"`
 }
 
@@ -607,9 +611,12 @@ type MutateRequest struct {
 // engine runs in distributed mode — the modeled communication and
 // decomposition plan of the apply's simulated-machine runs.
 type MutateResult struct {
-	Graph           string  `json:"graph"`
-	OldVersion      uint64  `json:"old_version"`
-	Version         uint64  `json:"version"`
+	Graph      string `json:"graph"`
+	OldVersion uint64 `json:"old_version"`
+	Version    uint64 `json:"version"`
+	// Seq is the batch's place among the batches committed to the graph
+	// since its registration: distinct per batch, increasing in commit
+	// order, also within one group commit.
 	Seq             uint64  `json:"seq"`
 	Applied         int     `json:"applied"`
 	AffectedSources int     `json:"affected_sources"`
@@ -627,7 +634,7 @@ type MutateResult struct {
 	Comm      repro.CommReport  `json:"comm"`
 	Phases    []repro.PhaseComm `json:"phases,omitempty"`
 	ComputeMS float64           `json:"compute_ms"`
-	// Async-ingestion fields. Queued marks an enqueued-durability ack:
+	// Ingestion fields. Queued marks an enqueued-durability ack:
 	// the batch is in the write-ahead queue (at QueueDepth) but not yet
 	// applied, and Version still reports the pre-commit fingerprint. For
 	// applied-durability batches, CoalescedBatches is how many queued
@@ -657,16 +664,16 @@ func (s *Server) mutLockFor(name string) *sync.Mutex {
 
 // Mutate atomically applies a mutation batch to the named graph through
 // its dynamic engine (created, with an initial exact compute, on the first
-// mutation). On success the registry entry is replaced with the new
+// mutation). The batch goes through the graph's write-ahead queue and is
+// applied by a group commit together with whatever batches queued beside
+// it (see ingest.go); uncontended, that group holds this batch alone.
+// Mutate acknowledges at the server's default durability (see
+// MutateDurable). On success the registry entry is replaced with the new
 // version, only that graph's cache entries are purged, and — when the
 // engine holds exact scores — the maintained vector is seeded into the
 // cache under the default exact query key, so the next query after a
 // mutation is a warm hit instead of a recompute. Queries concurrent with
 // Mutate see either the old or the new version, never a torn state.
-//
-// With Config.IngestQueue set, the batch goes through the write-ahead
-// queue and group-commit pipeline instead of applying synchronously —
-// see MutateDurable.
 func (s *Server) Mutate(name string, muts []repro.Mutation) (*MutateResult, error) {
 	return s.MutateCtx(context.Background(), name, muts)
 }
@@ -678,64 +685,22 @@ func (s *Server) MutateCtx(ctx context.Context, name string, muts []repro.Mutati
 	return s.MutateDurable(ctx, name, muts, "")
 }
 
-// mutateSync is the synchronous mutation path (no ingest queue): take the
-// per-graph serializer and run the batch through applyCommitted.
-func (s *Server) mutateSync(ctx context.Context, name string, muts []repro.Mutation) (*MutateResult, error) {
-	start := time.Now()
-	lk := s.mutLockFor(name)
-	lk.Lock()
-	defer lk.Unlock()
-
-	s.mu.Lock()
-	ge, ok := s.graphs[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
-	}
-	return s.applyCommitted(ctx, name, ge, muts, start)
-}
-
-// applyCommitted runs one mutation batch through the graph's dynamic
-// engine and installs the new (graph, scores) version. Callers hold the
-// per-graph mutation serializer and pass the registry entry they decided
+// applyCommitted runs one group's coalesced mutations through the graph's
+// dynamic engine and installs the new (graph, scores) version, counting
+// the group's batches into the entry's Seq. The caller holds the
+// per-graph mutation serializer and passes the registry entry it decided
 // to mutate; if the registry moved past it meanwhile, the install fails
 // with ErrGraphConflict and the engine's work is orphaned. start is when
-// the caller began the batch (queue time included for group commits).
-func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry, muts []repro.Mutation, start time.Time) (*MutateResult, error) {
+// the group commit began.
+func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry, muts []repro.Mutation, batches int, start time.Time) (*MutateResult, error) {
 	ctx, span := obs.StartSpan(ctx, "server.mutate")
 	defer span.End()
 	span.SetAttr("graph", name).SetAttr("mutations", len(muts))
 
-	s.mu.Lock()
-	oldVersion := ge.version
-	dyn := ge.dyn
-	s.mu.Unlock()
-
-	if dyn == nil {
-		var err error
-		dyn, err = s.newDynamic(name, ge.g, repro.DynamicOptions{
-			Workers: s.workers, DirtyThreshold: s.dirty,
-			Procs: s.dynProcs, CacheSets: s.dynCacheSets,
-			SampleBudget: s.dynSampleBudget, RefreshEvery: s.dynRefreshEvery,
-			LogCompactAt: s.logCompactAt, LogTruncate: s.logTruncate,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Attach the engine (and its expensive initial exact compute) to the
-		// live entry right away, so a failing batch below doesn't force the
-		// next PATCH to redo the base computation.
-		s.mu.Lock()
-		if s.graphs[name] == ge {
-			ge.dyn = dyn
-		}
-		s.mu.Unlock()
-	}
-	rep, err := dyn.ApplyCtx(ctx, muts)
+	dyn, rep, snap, err := s.runEngine(ctx, name, ge, muts)
 	if err != nil {
 		return nil, err
 	}
-	snap := dyn.Scores()
 	ne := &graphEntry{g: snap.Graph, version: snap.Version, loadedAt: ge.loadedAt, dyn: dyn}
 	// The O(n) warm-seed transforms (partial top-k selection, normalized
 	// copy) run before taking s.mu so concurrent queries never stall on
@@ -755,6 +720,7 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 		return nil, fmt.Errorf("%w: %q", ErrGraphConflict, name)
 	}
 	s.purgeLocked(name) // delta-aware: only this graph's entries drop
+	ne.seq = ge.seq + uint64(batches)
 	s.graphs[name] = ne
 	s.m.mutations.Inc()
 	if seed != nil {
@@ -768,7 +734,7 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 		SetAttr("fused", rep.Fused).SetAttr("version", rep.Version)
 
 	return &MutateResult{
-		Graph: name, OldVersion: oldVersion, Version: rep.Version, Seq: rep.Seq,
+		Graph: name, OldVersion: ge.version, Version: rep.Version,
 		Applied: rep.Applied, AffectedSources: rep.Affected, Strategy: rep.Strategy,
 		Sampled: rep.Sampled, ErrBound: rep.ErrBound, N: rep.N, M: rep.M,
 		Procs: rep.Procs, Plan: rep.Plan, Fused: rep.Fused,
@@ -892,7 +858,7 @@ func (s *Server) Stats() Stats {
 		IngestCoalesced:      int64(s.m.ingestCoalesced.Value()),
 		IngestRejected:       int64(s.m.ingestRejected.Value()),
 		IngestBatchErrors:    int64(s.m.ingestBatchErrors.Value()),
-		IngestQueueDepth:     int(s.m.ingestDepth.Value()),
+		IngestDepth:          int(s.m.ingestDepth.Value()),
 	}
 	st.WarmSeeds = st.WarmSeedsExact + st.WarmSeedsNormalized + st.WarmSeedsDistributed
 	for _, ge := range s.graphs {

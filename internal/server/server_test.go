@@ -37,6 +37,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// recv receives one value from ch, failing the test if none arrives within
+// a bound: a hung waiter is a failure, not a stalled test run.
+func recv[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(30 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		var zero T
+		return zero
+	}
+}
+
 func TestQueryMatchesDirectCompute(t *testing.T) {
 	g := testGraph(t)
 	s := New(Config{Workers: 1})
